@@ -15,7 +15,6 @@ from . import (
     bench_campaign,
     bench_encode,
     bench_esm_loop,
-    bench_fleet,
     bench_measure,
     bench_nas,
     bench_predictors,
@@ -28,7 +27,6 @@ from .common import RESULTS_DIR, summarize
 BENCHES = {
     "measure": bench_measure.run,
     "campaign": bench_campaign.run,
-    "fleet": bench_fleet.run,
     "encode": bench_encode.run,
     "esm_loop": bench_esm_loop.run,
     "nas": bench_nas.run,

@@ -1,20 +1,10 @@
-"""Latency dataset container, JSON (de)serialisation, and sharded storage."""
+"""Latency dataset container and JSON (de)serialisation."""
 
 from .dataset import FORMAT_VERSION, DatasetError, LatencyDataset, LatencySample
-from .sharding import (
-    SHARD_MANIFEST_VERSION,
-    RepairReport,
-    ShardedLatencyDataset,
-    ShardInfo,
-)
 
 __all__ = [
     "LatencyDataset",
     "LatencySample",
     "DatasetError",
     "FORMAT_VERSION",
-    "ShardedLatencyDataset",
-    "ShardInfo",
-    "RepairReport",
-    "SHARD_MANIFEST_VERSION",
 ]

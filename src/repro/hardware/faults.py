@@ -21,13 +21,6 @@ Fault model:
 * **Trace corruption** — with probability ``corrupt_prob`` a fraction of
   the trace's entries are replaced by NaNs and negative garbage, which
   `MeasurementProtocol.validate_trace` rejects.
-* **Straggler sessions** — decided per *device session* (see
-  ``begin_fleet_session``), a straggler takes ``straggler_factor`` times
-  as long in wall-clock terms to return every batch it is handed.  The
-  measured latencies themselves are untouched — a straggler is slow, not
-  wrong — so this fault is invisible to the serial campaign path and only
-  matters to the fleet dispatcher's deadline/circuit-breaker machinery
-  (`repro.profiling.fleet`).
 
 All draws come from the RNG passed to the call (falling back to the
 wrapper's own stream), so a campaign that derives one generator per
@@ -58,8 +51,6 @@ class FaultPlan:
     timeout_prob: float = 0.0  # per-call hang surfaced as MeasurementTimeout
     corrupt_prob: float = 0.0  # per-call NaN/garbage trace
     corrupt_fraction: float = 0.1  # fraction of runs corrupted when it fires
-    straggler_prob: float = 0.0  # per-device-session wall-clock straggler
-    straggler_factor: float = 4.0  # wall-clock slowdown of a straggler session
 
     def __post_init__(self) -> None:
         for field in (
@@ -67,7 +58,6 @@ class FaultPlan:
             "error_prob",
             "timeout_prob",
             "corrupt_prob",
-            "straggler_prob",
         ):
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
@@ -76,8 +66,6 @@ class FaultPlan:
             raise ValueError("throttle_factor must be positive")
         if not 0.0 < self.corrupt_fraction <= 1.0:
             raise ValueError("corrupt_fraction must be in (0, 1]")
-        if self.straggler_factor < 1.0:
-            raise ValueError("straggler_factor must be >= 1")
 
 
 class FaultyDevice:
@@ -100,7 +88,6 @@ class FaultyDevice:
         self.plan = plan
         self.rng = ensure_rng(seed)
         self._session_factor = 1.0
-        self._straggler_factor = 1.0
 
     # ------------------------------------------------------------------ #
     # Delegation
@@ -136,36 +123,6 @@ class FaultyDevice:
     @property
     def session_throttled(self) -> bool:
         return self._session_factor != 1.0
-
-    def begin_fleet_session(
-        self, rng: "int | np.random.Generator | None" = None
-    ) -> float:
-        """Open a long-lived *device* session; returns its wall-clock factor.
-
-        Where ``begin_session`` models the per-batch-attempt thermal state,
-        a fleet session is one board/worker in a measurement fleet: the
-        straggler draw happens once, when the session is opened, and then
-        every batch the session executes takes ``straggler_factor`` times
-        its nominal wall-clock.  Measured latency *values* are deliberately
-        unaffected — the per-(batch, attempt) measurement streams never see
-        this draw — which is what lets a fleet run stay byte-identical to a
-        serial one while still starving deadlines.
-        """
-        rng = self.rng if rng is None else ensure_rng(rng)
-        straggling = bool(rng.random() < self.plan.straggler_prob)
-        self._straggler_factor = (
-            self.plan.straggler_factor if straggling else 1.0
-        )
-        return self._straggler_factor
-
-    @property
-    def session_straggler_factor(self) -> float:
-        """Wall-clock multiplier of the current fleet session (1.0 = healthy)."""
-        return self._straggler_factor
-
-    @property
-    def session_straggling(self) -> bool:
-        return self._straggler_factor != 1.0
 
     # ------------------------------------------------------------------ #
     # Faulty measurement

@@ -31,7 +31,7 @@ import json
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Union
 
-from ..utils import atomic_write_text
+from ..utils import atomic_write_text, quarantine
 
 __all__ = ["SearchCheckpointError", "CheckpointState", "SearchCheckpoint"]
 
@@ -79,9 +79,9 @@ class SearchCheckpoint:
                 # Torn manifest: nothing in this directory can be trusted
                 # to belong to *this* search — quarantine everything and
                 # start over (the steps are deterministic to rebuild).
-                self._quarantine(path)
+                quarantine(path)
                 for step_path in self._step_paths():
-                    self._quarantine(step_path)
+                    quarantine(step_path)
             else:
                 if stored != self.fingerprint:
                     raise SearchCheckpointError(
@@ -112,15 +112,6 @@ class SearchCheckpoint:
 
     def _step_paths(self) -> List[Path]:
         return sorted(self.root.glob("step_*.json"))
-
-    @staticmethod
-    def _quarantine(path: Path) -> None:
-        target = path.with_name(path.name + ".corrupt")
-        n = 0
-        while target.exists():
-            n += 1
-            target = path.with_name(f"{path.name}.corrupt{n}")
-        path.rename(target)
 
     def write_step(
         self, step: int, evaluated: List[dict], population: List[dict]
@@ -182,7 +173,7 @@ class SearchCheckpoint:
         # missing/torn step: quarantine it so the rerun cannot collide.
         for path in self._step_paths():
             if int(path.stem.split("_")[1]) > last:
-                self._quarantine(path)
+                quarantine(path)
         if last < 0:
             return None
         return CheckpointState(

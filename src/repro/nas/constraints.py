@@ -27,6 +27,7 @@ pays for one IR lowering only.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -37,7 +38,12 @@ from ..archspace.config import ArchConfig
 from ..network.analysis import NetworkCosts, network_costs
 from ..network.builders import build_network
 
-__all__ = ["SearchConstraints", "static_costs"]
+__all__ = [
+    "SearchConstraints",
+    "add_budget_arguments",
+    "constraints_from_args",
+    "static_costs",
+]
 
 
 @lru_cache(maxsize=16384)
@@ -153,3 +159,46 @@ class SearchConstraints:
             if value is not None
         )
         return " ".join(parts) if parts else "unconstrained"
+
+
+# The budget flags the NAS command-line front ends share:
+# (SearchConstraints field, flag, help).
+_BUDGET_FLAGS = (
+    (
+        "max_latency_s",
+        "--max-latency",
+        "latency budget in seconds for constrained search",
+    ),
+    (
+        "max_params",
+        "--max-params",
+        "parameter-count budget for constrained search",
+    ),
+    ("max_flops", "--max-flops", "FLOPs budget for constrained search"),
+)
+
+
+def add_budget_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add ``--max-latency/--max-params/--max-flops`` to ``parser``."""
+    for _, flag, help_text in _BUDGET_FLAGS:
+        parser.add_argument(flag, type=float, default=None, help=help_text)
+
+
+def constraints_from_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> Optional[SearchConstraints]:
+    """The budgets parsed by `add_budget_arguments`; None when none is set.
+
+    An invalid budget (zero, negative, NaN) exits through
+    ``parser.error`` — exit status 2, with a message naming the flag —
+    instead of a traceback.
+    """
+    budgets = {}
+    for field, flag, _ in _BUDGET_FLAGS:
+        budgets[field] = getattr(args, flag[2:].replace("-", "_"))
+        try:
+            SearchConstraints(**{field: budgets[field]})
+        except ValueError as exc:
+            parser.error(f"argument {flag}: {exc}")
+    constraints = SearchConstraints(**budgets)
+    return constraints if constraints.is_active else None

@@ -40,7 +40,11 @@ from ..hardware.simulator import SimulatedDevice
 from ..metrics import kendall_tau
 from ..predictors.oracle import DeviceOracle
 from ..utils import atomic_write_text
-from .constraints import SearchConstraints
+from .constraints import (
+    SearchConstraints,
+    add_budget_arguments,
+    constraints_from_args,
+)
 from .pareto import ParetoFront, ParetoPoint, displacement_metrics
 from .proxy import SyntheticAccuracyProxy
 from .search import EvolutionarySearch, RandomSearch, SearchResult
@@ -438,24 +442,7 @@ def main(argv=None) -> int:
         default=None,
         help="ESM run-directory root, kept for resume (default: temporary)",
     )
-    parser.add_argument(
-        "--max-latency",
-        type=float,
-        default=None,
-        help="latency budget in seconds for constrained search",
-    )
-    parser.add_argument(
-        "--max-params",
-        type=float,
-        default=None,
-        help="parameter-count budget for constrained search",
-    )
-    parser.add_argument(
-        "--max-flops",
-        type=float,
-        default=None,
-        help="FLOPs budget for constrained search",
-    )
+    add_budget_arguments(parser)
     parser.add_argument(
         "--warm-start",
         default=None,
@@ -472,13 +459,7 @@ def main(argv=None) -> int:
     if args.resume and args.workdir is None:
         parser.error("--resume requires --workdir")
 
-    constraints = None
-    if any(v is not None for v in (args.max_latency, args.max_params, args.max_flops)):
-        constraints = SearchConstraints(
-            max_latency_s=args.max_latency,
-            max_params=args.max_params,
-            max_flops=args.max_flops,
-        )
+    constraints = constraints_from_args(args, parser)
     warm_start = None
     if args.warm_start is not None:
         warm_start = SearchResult.from_dict(

@@ -4,10 +4,10 @@ A single seeded search is an anecdote; reviewers (and deployments) want
 the distribution.  `SearchFleet` runs the *same* search — driver, budgets,
 constraints, warm start — under N different seeds, farms the members out
 to a spawn-safe process pool (falling back to serial execution when the
-pool cannot be created or breaks mid-fleet, exactly like
-`repro.profiling.campaign.CampaignRunner`), and aggregates the per-seed
-Pareto fronts into median/IQR dispersion bands over hypervolume, front
-size, and feasible-evaluation counts.
+pool cannot be created or breaks mid-fleet, through the
+`repro.utils.run_pooled` path `CampaignRunner` also uses), and
+aggregates the per-seed Pareto fronts into median/IQR dispersion bands
+over hypervolume, front size, and feasible-evaluation counts.
 
 Durability matches the rest of the repo: with a ``fleet_dir`` every
 member search checkpoints per generation under
@@ -28,10 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -40,8 +37,12 @@ import numpy as np
 
 from ..archspace.config import ArchConfig
 from ..archspace.spaces import SPACE_NAMES, space_by_name
-from ..utils import atomic_write_text
-from .constraints import SearchConstraints
+from ..utils import atomic_write_text, quarantine, run_pooled
+from .constraints import (
+    SearchConstraints,
+    add_budget_arguments,
+    constraints_from_args,
+)
 from .proxy import SyntheticAccuracyProxy
 from .search import (
     EvolutionarySearch,
@@ -328,15 +329,6 @@ class SearchFleet:
             self._manifest_path(), json.dumps(manifest, sort_keys=True)
         )
 
-    def _record_degradation(
-        self, manifest: Optional[dict], degradations: List[dict], kind: str, **details
-    ) -> None:
-        entry = {"kind": kind, **details}
-        degradations.append(entry)
-        if manifest is not None:
-            manifest.setdefault("degradations", []).append(entry)
-            self._save_manifest(manifest)
-
     # ------------------------------- members --------------------------- #
 
     def _load_cached_member(self, seed: int) -> Optional[dict]:
@@ -358,7 +350,7 @@ class SearchFleet:
         ):
             # Torn or foreign: quarantine and recompute (the member's own
             # generation checkpoints make the rerun cheap).
-            path.rename(path.with_name("result.json.corrupt"))
+            quarantine(path)
             return None
         return payload
 
@@ -370,60 +362,6 @@ class SearchFleet:
         atomic_write_text(
             member_dir / "result.json", json.dumps(payload, sort_keys=True)
         )
-
-    def _run_serial(
-        self, pending: List[int], payloads: Dict[int, dict]
-    ) -> None:
-        for seed in pending:
-            if seed in payloads:
-                continue
-            payloads[seed] = _run_member(self._task(seed))
-            self._commit_member(seed, payloads[seed])
-
-    def _run_parallel(
-        self,
-        pending: List[int],
-        payloads: Dict[int, dict],
-        manifest: Optional[dict],
-        degradations: List[dict],
-    ) -> None:
-        """Pool execution with the campaign's degrade-don't-abort contract."""
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)),
-                mp_context=multiprocessing.get_context(self.mp_context),
-            )
-        except (ImportError, NotImplementedError, OSError, ValueError) as exc:
-            self._record_degradation(
-                manifest,
-                degradations,
-                "pool_unavailable",
-                error=f"{type(exc).__name__}: {exc}",
-                pending=list(pending),
-            )
-            self._run_serial(pending, payloads)
-            return
-        try:
-            with pool:
-                futures = {
-                    pool.submit(_run_member, self._task(seed)): seed
-                    for seed in pending
-                }
-                for future in as_completed(futures):
-                    seed = futures[future]
-                    payloads[seed] = future.result()
-                    self._commit_member(seed, payloads[seed])
-        except BrokenProcessPool as exc:
-            still_pending = [s for s in pending if s not in payloads]
-            self._record_degradation(
-                manifest,
-                degradations,
-                "broken_process_pool",
-                error=f"{type(exc).__name__}: {exc}",
-                completed_before_failure=len(pending) - len(still_pending),
-                pending=still_pending,
-            )
-            self._run_serial(still_pending, payloads)
 
     # -------------------------------- run ------------------------------ #
 
@@ -444,12 +382,25 @@ class SearchFleet:
             cached = self._load_cached_member(seed)
             if cached is not None:
                 payloads[seed] = cached
-        pending = [s for s in self.seeds if s not in payloads]
 
-        if self.workers > 1 and len(pending) > 1:
-            self._run_parallel(pending, payloads, manifest, degradations)
-        else:
-            self._run_serial(pending, payloads)
+        def commit(seed: int, payload: dict) -> None:
+            payloads[seed] = payload
+            self._commit_member(seed, payload)
+
+        new_degradations = run_pooled(
+            [s for s in self.seeds if s not in payloads],
+            self._task,
+            _run_member,
+            lambda seed: _run_member(self._task(seed)),
+            commit,
+            workers=self.workers,
+            mp_context=self.mp_context,
+        )
+        if new_degradations:
+            degradations.extend(new_degradations)
+            if manifest is not None:
+                manifest["degradations"].extend(new_degradations)
+                self._save_manifest(manifest)
 
         # Normalise through the JSON round trip so a cached member and a
         # freshly computed one are bit-for-bit the same kind of object.
@@ -513,15 +464,6 @@ def format_fleet_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _constraints_from_args(args) -> Optional[SearchConstraints]:
-    constraints = SearchConstraints(
-        max_latency_s=args.max_latency,
-        max_params=args.max_params,
-        max_flops=args.max_flops,
-    )
-    return constraints if constraints.is_active else None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.nas.fleet",
@@ -538,9 +480,7 @@ def main(argv=None) -> int:
     parser.add_argument("--population-size", type=int, default=None)
     parser.add_argument("--generations", type=int, default=None)
     parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--max-latency", type=float, default=None)
-    parser.add_argument("--max-params", type=float, default=None)
-    parser.add_argument("--max-flops", type=float, default=None)
+    add_budget_arguments(parser)
     parser.add_argument(
         "--warm-start",
         default=None,
@@ -590,7 +530,7 @@ def main(argv=None) -> int:
         search_params=params,
         n_seeds=n_seeds,
         seed_base=args.seed_base,
-        constraints=_constraints_from_args(args),
+        constraints=constraints_from_args(args, parser),
         warm_start=warm_start,
         fleet_dir=args.workdir,
         workers=args.workers,

@@ -1,22 +1,13 @@
 """Fault-tolerant measurement campaigns: the paper's dataset-generation
 protocol (150-run trimmed mean), reference-model QC with the 3% drift
-gate (Fig. 6), a checkpointed batch runner that resumes a killed sweep
-without re-measuring anything, and the async device-fleet dispatcher
-(deadlines, circuit breakers, quorum degradation) layered on top."""
+gate (Fig. 6), and a checkpointed batch runner that resumes a killed
+sweep without re-measuring anything."""
 
 from .campaign import CampaignError, CampaignResult, CampaignRunner
-from .clock import AsyncSystemClock, Clock, FakeClock, SystemClock, VirtualClock
-from .fleet import CircuitBreaker, DeviceSession, FleetRunner
 from .paired import PairedMeasurementSet, measure_paired
 from .protocol import MeasurementProtocol
 from .reference import QCResult, ReferenceSet
-from .report import (
-    AttemptRecord,
-    BatchRecord,
-    CampaignReport,
-    FleetHealth,
-    SessionHealth,
-)
+from .report import AttemptRecord, BatchRecord, CampaignReport
 from .storage import MANIFEST_VERSION, CampaignStore
 
 __all__ = [
@@ -31,16 +22,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignResult",
     "CampaignError",
-    "FleetRunner",
-    "DeviceSession",
-    "CircuitBreaker",
-    "FleetHealth",
-    "SessionHealth",
-    "Clock",
-    "SystemClock",
-    "FakeClock",
-    "AsyncSystemClock",
-    "VirtualClock",
     "PairedMeasurementSet",
     "measure_paired",
 ]

@@ -30,19 +30,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..archspace.config import ArchConfig
 from ..data.dataset import LatencyDataset, LatencySample
 from ..hardware.errors import MeasurementError
-from .clock import Clock, SystemClock
+from ..utils import run_pooled
 from .protocol import MeasurementProtocol
 from .reference import ReferenceSet
 from .report import AttemptRecord, BatchRecord, CampaignReport
@@ -246,7 +243,6 @@ class CampaignRunner:
         backoff_factor: float = 2.0,
         backoff_jitter: float = 0.1,
         sleep: Optional[Callable[[float], None]] = None,
-        clock: Optional[Clock] = None,
         device_name: Optional[str] = None,
         workers: int = 1,
         mp_context: Optional[str] = None,
@@ -274,12 +270,9 @@ class CampaignRunner:
         self.backoff_s = float(backoff_s)
         self.backoff_factor = float(backoff_factor)
         self.backoff_jitter = float(backoff_jitter)
-        # Backoff sleeps go through an injectable clock so tests (and the
-        # fleet's virtual-time dispatcher) never block on real time.  An
-        # explicit ``sleep=`` callable still wins, for callers that predate
-        # the clock.
-        self.clock: Clock = SystemClock() if clock is None else clock
-        self.sleep = self.clock.sleep if sleep is None else sleep
+        # Backoff sleeps go through an injectable callable so tests and
+        # benchmarks can record the schedule without blocking on real time.
+        self.sleep = time.sleep if sleep is None else sleep
         self.workers = int(workers)
         # Pool start method: "spawn" is the portable, always-safe default;
         # "fork" starts workers in milliseconds on POSIX (they inherit the
@@ -434,18 +427,27 @@ class CampaignRunner:
         are byte-identical to a sequential run's — only the completion
         order (and therefore the manifest's commit order) differs, and
         shards commit atomically as they finish, so a killed parallel
-        campaign resumes exactly like a sequential one.
+        campaign resumes exactly like a sequential one.  A pool that
+        cannot start or breaks mid-run leaves its uncommitted batches to
+        the sequential path, and the report records the degradation.
         """
         started = time.monotonic()
         manifest = self._load_or_init_manifest()
-        pending = self._pending_batches(manifest, max_batches)
-
-        if self.workers > 1 and len(pending) > 1:
-            self._run_parallel(pending, manifest)
-        else:
-            for index in pending:
-                samples, record = self._run_batch(index)
-                self._commit_batch(index, samples, record, manifest)
+        degradations = run_pooled(
+            self._pending_batches(manifest, max_batches),
+            self._task,
+            _execute_batch,
+            self._run_batch,
+            lambda index, result: self._commit_batch(index, *result, manifest),
+            workers=self.workers,
+            mp_context=self.mp_context,
+        )
+        if degradations:
+            # Durable provenance: "the pool died and we limped home
+            # serially" rides in the manifest, so every later report —
+            # including one after a resume — shows it.
+            manifest.setdefault("degradations", []).extend(degradations)
+            self.store.save_manifest(manifest)
 
         report = self._report(manifest)
         report.wall_clock_s = time.monotonic() - started
@@ -492,74 +494,6 @@ class CampaignRunner:
             sorted(manifest["batches"].items(), key=lambda kv: int(kv[0]))
         )
         self.store.save_manifest(manifest)
-
-    def _record_degradation(self, manifest: dict, kind: str, **details) -> None:
-        """Durably note that the campaign survived an executor failure.
-
-        The entry rides in the manifest (and therefore in every report
-        built from it, including after a resume) so "the pool died and we
-        limped home serially" is visible in the provenance, not just in a
-        log nobody kept.
-        """
-        entry = {"kind": kind, **details}
-        manifest.setdefault("degradations", []).append(entry)
-        self.store.save_manifest(manifest)
-
-    def _run_parallel(self, pending: List[int], manifest: dict) -> None:
-        """Execute ``pending`` batches on a process pool, committing each
-        as it completes.  Falls back to the sequential path — recording the
-        degradation — when no pool can be created on this platform, or when
-        the pool breaks mid-campaign (a worker segfaults, is OOM-killed, or
-        otherwise dies); batches already committed by the pool are never
-        re-measured, only the still-pending ones rerun serially."""
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)),
-                mp_context=multiprocessing.get_context(self.mp_context),
-            )
-        except (ImportError, NotImplementedError, OSError, ValueError) as exc:
-            # ValueError: the requested start method does not exist on
-            # this platform (e.g. "fork" on Windows) — run sequentially.
-            self._record_degradation(
-                manifest,
-                "pool_unavailable",
-                error=f"{type(exc).__name__}: {exc}",
-                pending=list(pending),
-            )
-            self._run_serial(pending, manifest)
-            return
-        try:
-            with pool:
-                futures = {
-                    pool.submit(_execute_batch, self._task(index)): index
-                    for index in pending
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    samples, record = future.result()
-                    self._commit_batch(index, samples, record, manifest)
-        except BrokenProcessPool as exc:
-            still_pending = [
-                index
-                for index in pending
-                if str(index) not in manifest["batches"]
-                or not self.store.has_shard(index)
-            ]
-            self._record_degradation(
-                manifest,
-                "broken_process_pool",
-                error=f"{type(exc).__name__}: {exc}",
-                completed_before_failure=len(pending) - len(still_pending),
-                pending=still_pending,
-            )
-            self._run_serial(still_pending, manifest)
-
-    def _run_serial(self, pending: List[int], manifest: dict) -> None:
-        for index in pending:
-            if self.store.has_shard(index) and str(index) in manifest["batches"]:
-                continue
-            samples, record = self._run_batch(index)
-            self._commit_batch(index, samples, record, manifest)
 
     @property
     def complete(self) -> bool:

@@ -16,13 +16,7 @@ from typing import List, Optional, Union
 
 from ..utils import atomic_write_text
 
-__all__ = [
-    "AttemptRecord",
-    "BatchRecord",
-    "CampaignReport",
-    "FleetHealth",
-    "SessionHealth",
-]
+__all__ = ["AttemptRecord", "BatchRecord", "CampaignReport"]
 
 
 @dataclass(frozen=True)
@@ -72,15 +66,6 @@ class BatchRecord:
     qc_passed: bool = True
     resumed: bool = False  # completed by an earlier process, skipped here
 
-    # Fleet-only provenance: which device session finally completed the
-    # batch and how many dispatches (including timed-out ones) it took.
-    # None/1 on the serial and process-pool paths; written to JSON only
-    # when a fleet actually produced them, so serial manifests are
-    # byte-stable across this addition.
-    session: Optional[int] = None
-    dispatches: int = 1
-    degraded: bool = False  # completed while the fleet was below quorum
-
     @property
     def n_attempts(self) -> int:
         return len(self.attempts)
@@ -103,7 +88,7 @@ class BatchRecord:
         return sum(a.wall_clock_s for a in self.attempts)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "index": self.index,
             "n_configs": self.n_configs,
             "shard": self.shard,
@@ -111,12 +96,6 @@ class BatchRecord:
             "qc_passed": self.qc_passed,
             "resumed": self.resumed,
         }
-        if self.session is not None:
-            d["session"] = self.session
-            d["dispatches"] = self.dispatches
-        if self.degraded:
-            d["degraded"] = True
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatchRecord":
@@ -127,133 +106,7 @@ class BatchRecord:
             attempts=[AttemptRecord.from_dict(a) for a in d.get("attempts", [])],
             qc_passed=bool(d.get("qc_passed", True)),
             resumed=bool(d.get("resumed", False)),
-            session=d.get("session"),
-            dispatches=int(d.get("dispatches", 1)),
-            degraded=bool(d.get("degraded", False)),
         )
-
-
-@dataclass
-class SessionHealth:
-    """The per-session line of a fleet campaign's health ledger."""
-
-    session: int
-    straggler_factor: float = 1.0  # wall-clock multiplier drawn at open
-    breaker_state: str = "closed"  # closed | open | half_open | retired
-    dispatches: int = 0  # batches handed to this session
-    completions: int = 0  # batches it finished inside the deadline
-    timeouts: int = 0  # dispatches killed at the deadline
-    consecutive_failures: int = 0
-    openings: int = 0  # times the circuit breaker tripped open
-    busy_s: float = 0.0  # simulated seconds spent executing
-
-    @property
-    def retired(self) -> bool:
-        return self.breaker_state == "retired"
-
-    @property
-    def straggler(self) -> bool:
-        return self.straggler_factor != 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "session": self.session,
-            "straggler_factor": self.straggler_factor,
-            "breaker_state": self.breaker_state,
-            "dispatches": self.dispatches,
-            "completions": self.completions,
-            "timeouts": self.timeouts,
-            "consecutive_failures": self.consecutive_failures,
-            "openings": self.openings,
-            "busy_s": self.busy_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SessionHealth":
-        return cls(
-            session=int(d["session"]),
-            straggler_factor=float(d.get("straggler_factor", 1.0)),
-            breaker_state=str(d.get("breaker_state", "closed")),
-            dispatches=int(d.get("dispatches", 0)),
-            completions=int(d.get("completions", 0)),
-            timeouts=int(d.get("timeouts", 0)),
-            consecutive_failures=int(d.get("consecutive_failures", 0)),
-            openings=int(d.get("openings", 0)),
-            busy_s=float(d.get("busy_s", 0.0)),
-        )
-
-
-@dataclass
-class FleetHealth:
-    """What the fleet dispatcher did: sessions, quorum, degradation.
-
-    ``qc_passed`` is the fleet-level verdict the issue tracker asks for:
-    a campaign that had to finish below quorum completes — the data is
-    all there, byte-identical to a serial run — but it is *flagged*, not
-    silently blessed.
-    """
-
-    n_sessions: int
-    quorum: int  # minimum live sessions for an unflagged campaign
-    sessions: List[SessionHealth] = field(default_factory=list)
-    redispatches: int = 0  # timed-out dispatches sent back to the queue
-    degraded_batches: List[int] = field(default_factory=list)
-    makespan_s: float = 0.0  # simulated fleet wall-clock (virtual time)
-
-    @property
-    def surviving(self) -> int:
-        return sum(1 for s in self.sessions if not s.retired)
-
-    @property
-    def retired(self) -> List[int]:
-        return [s.session for s in self.sessions if s.retired]
-
-    @property
-    def degraded(self) -> bool:
-        return self.surviving < self.quorum
-
-    @property
-    def qc_passed(self) -> bool:
-        return not self.degraded
-
-    def to_dict(self) -> dict:
-        return {
-            "n_sessions": self.n_sessions,
-            "quorum": self.quorum,
-            "sessions": [s.to_dict() for s in self.sessions],
-            "redispatches": self.redispatches,
-            "degraded_batches": list(self.degraded_batches),
-            "makespan_s": self.makespan_s,
-            "surviving": self.surviving,
-            "degraded": self.degraded,
-            "qc_passed": self.qc_passed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FleetHealth":
-        return cls(
-            n_sessions=int(d["n_sessions"]),
-            quorum=int(d["quorum"]),
-            sessions=[SessionHealth.from_dict(s) for s in d.get("sessions", [])],
-            redispatches=int(d.get("redispatches", 0)),
-            degraded_batches=[int(i) for i in d.get("degraded_batches", [])],
-            makespan_s=float(d.get("makespan_s", 0.0)),
-        )
-
-    def describe(self) -> str:
-        """One line per session — the ledger `CampaignError` messages carry."""
-        lines = [
-            f"fleet health: {self.surviving}/{self.n_sessions} sessions "
-            f"alive (quorum {self.quorum})"
-        ]
-        for s in self.sessions:
-            tag = " straggler" if s.straggler else ""
-            lines.append(
-                f"  session {s.session}: {s.breaker_state}{tag} — "
-                f"{s.completions}/{s.dispatches} completed, "
-                f"{s.timeouts} timeouts, {s.openings} breaker openings"
-            )
-        return "\n".join(lines)
 
 
 @dataclass
@@ -272,7 +125,6 @@ class CampaignReport:
     # Executor degradations survived mid-campaign (e.g. a process pool
     # whose workers died and whose pending batches fell back to serial).
     degradations: List[dict] = field(default_factory=list)
-    fleet: Optional[FleetHealth] = None  # set by FleetRunner campaigns
 
     # ----------------------------- digests ----------------------------- #
 
@@ -322,12 +174,10 @@ class CampaignReport:
                 "all_qc_passed": self.all_qc_passed,
             },
         }
-        # Written only when present, so pre-fleet reports round-trip
-        # byte-for-byte.
+        # Written only when present, so reports of campaigns that never
+        # degraded keep their original bytes.
         if self.degradations:
             d["degradations"] = [dict(x) for x in self.degradations]
-        if self.fleet is not None:
-            d["fleet"] = self.fleet.to_dict()
         return d
 
     @classmethod
@@ -343,9 +193,6 @@ class CampaignReport:
             batches=[BatchRecord.from_dict(b) for b in d.get("batches", [])],
             wall_clock_s=float(d.get("wall_clock_s", 0.0)),
             degradations=[dict(x) for x in d.get("degradations", [])],
-            fleet=(
-                FleetHealth.from_dict(d["fleet"]) if d.get("fleet") else None
-            ),
         )
 
     def save(self, path: Union[str, Path]) -> None:

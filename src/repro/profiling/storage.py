@@ -56,6 +56,11 @@ class CampaignStore:
             raise DatasetError(
                 f"campaign manifest {self.manifest_path} is not valid JSON: {exc}"
             ) from exc
+        if not isinstance(manifest, dict):
+            raise DatasetError(
+                f"campaign manifest {self.manifest_path} is not a JSON object "
+                f"(got {type(manifest).__name__})"
+            )
         version = manifest.get("manifest_version")
         if version != MANIFEST_VERSION:
             raise DatasetError(

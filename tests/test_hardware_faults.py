@@ -35,9 +35,6 @@ class TestFaultPlan:
             {"throttle_factor": 0.0},
             {"corrupt_fraction": 0.0},
             {"corrupt_fraction": 1.5},
-            {"straggler_prob": -0.1},
-            {"straggler_prob": 1.5},
-            {"straggler_factor": 0.5},
         ],
     )
     def test_bad_parameters_raise(self, kwargs):
@@ -48,7 +45,6 @@ class TestFaultPlan:
         plan = FaultPlan()
         assert plan.throttle_prob == plan.error_prob == 0.0
         assert plan.timeout_prob == plan.corrupt_prob == 0.0
-        assert plan.straggler_prob == 0.0 and plan.straggler_factor == 4.0
 
 
 class TestDelegation:
@@ -93,44 +89,6 @@ class TestThrottleSessions:
         draws_b = [device.begin_session(np.random.default_rng(s)) for s in range(20)]
         assert draws_a == draws_b
         assert any(draws_a) and not all(draws_a)
-
-
-class TestStragglerSessions:
-    """The fleet fault model: wall-clock skew that never touches bytes."""
-
-    def test_fleet_session_draw_sets_the_factor(self, sample_config):
-        device = make_device(FaultPlan(straggler_prob=1.0, straggler_factor=6.0))
-        assert device.session_straggler_factor == 1.0  # before any draw
-        factor = device.begin_fleet_session(np.random.default_rng(0))
-        assert factor == 6.0 == device.session_straggler_factor
-        assert device.session_straggling
-
-    def test_zero_probability_never_straggles(self):
-        device = make_device(FaultPlan(straggler_factor=9.0))
-        for seed in range(10):
-            assert device.begin_fleet_session(np.random.default_rng(seed)) == 1.0
-        assert not device.session_straggling
-
-    def test_draw_is_seeded_and_mixed(self):
-        device = make_device(FaultPlan(straggler_prob=0.5))
-        draws_a = [
-            device.begin_fleet_session(np.random.default_rng(s)) for s in range(20)
-        ]
-        draws_b = [
-            device.begin_fleet_session(np.random.default_rng(s)) for s in range(20)
-        ]
-        assert draws_a == draws_b
-        assert 1.0 in draws_a and 4.0 in draws_a
-
-    def test_straggling_does_not_change_measured_bytes(self, sample_config):
-        clean = make_device(FaultPlan())
-        straggler = make_device(
-            FaultPlan(straggler_prob=1.0, straggler_factor=8.0)
-        )
-        straggler.begin_fleet_session(np.random.default_rng(0))
-        a = clean.measure(sample_config, runs=20, rng=np.random.default_rng(3))
-        b = straggler.measure(sample_config, runs=20, rng=np.random.default_rng(3))
-        np.testing.assert_array_equal(a, b)
 
 
 class TestTransientFaults:

@@ -85,6 +85,10 @@ class TestCLIValidation:
             main(["--smoke", "--resume"])
         assert excinfo.value.code == 2
 
-    def test_non_positive_budget_rejected(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            main(["--smoke", "--max-latency", "-1.0"])
+    def test_non_positive_budget_rejected(self, capsys):
+        """A bad budget is a usage error naming the flag, not a traceback."""
+        for flag in ("--max-latency", "--max-params", "--max-flops"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--smoke", flag, "-1.0"])
+            assert excinfo.value.code == 2
+            assert f"argument {flag}: " in capsys.readouterr().err

@@ -164,6 +164,24 @@ class TestDurableFleet:
         assert resumed.to_json() == serial_json
         assert (fleet_dir / "member_00003" / "result.json.corrupt").exists()
 
+    def test_repeated_corruption_keeps_every_quarantined_file(
+        self, harness, serial_json, tmp_path
+    ):
+        fleet_dir = tmp_path / "fleet"
+        make_fleet(harness, fleet_dir=fleet_dir).run()
+        member_dir = fleet_dir / "member_00003"
+        torn = ['{"kind": "search_res', '{"kind": "search_result", "seed": 999}']
+        for payload in torn:
+            (member_dir / "result.json").write_text(payload)
+            resumed = make_fleet(harness, fleet_dir=fleet_dir).run()
+            assert resumed.to_json() == serial_json
+        quarantined = sorted(member_dir.glob("result.json.corrupt*"))
+        assert [p.name for p in quarantined] == [
+            "result.json.corrupt",
+            "result.json.corrupt1",
+        ]
+        assert [p.read_text() for p in quarantined] == torn
+
     def test_foreign_fleet_dir_refused(self, harness, tmp_path):
         fleet_dir = tmp_path / "fleet"
         make_fleet(harness, fleet_dir=fleet_dir).run()
@@ -278,3 +296,11 @@ class TestCLI:
         assert payload["n_seeds"] == 3
         text = capsys.readouterr().out
         assert "hypervolume median" in text
+
+    def test_non_positive_budget_is_a_usage_error(self, capsys):
+        from repro.nas.fleet import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", "--max-latency", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --max-latency: " in capsys.readouterr().err

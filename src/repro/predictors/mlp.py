@@ -1,10 +1,15 @@
 """The paper's latency predictor: a 3-layer MLP (hidden 64) in pure numpy.
 
 Forward/backward and the Adam optimiser are implemented here because no
-torch/sklearn stack is available.  Hyperparameters default to the paper's:
-MSE loss, Adam with lr 0.01 and weight decay 1e-4.  Inputs are z-scored
-and targets scaled by their mean inside `fit`, so the same settings work
-across devices whose latencies differ by orders of magnitude.
+torch/sklearn stack is available.  The three weight matrices and three
+bias vectors are views into one flat parameter vector (their gradients
+likewise into one flat gradient vector), so each optimiser step is a
+single elementwise Adam update over every parameter — elementwise, so
+bit-identical to updating each array on its own.  Hyperparameters
+default to the paper's: MSE loss, Adam with lr 0.01 and weight decay
+1e-4.  Inputs are z-scored and targets scaled by their mean inside `fit`,
+so the same settings work across devices whose latencies differ by
+orders of magnitude.
 
 Optional early stopping (``patience``/``tol``) cuts retraining short once
 the epoch loss stops improving — the ESM loop refits the predictor after
@@ -50,6 +55,19 @@ class MLPPredictor(PredictorBase):
         fail to improve the best epoch loss by more than ``tol`` —
         ``loss_history_`` then records only the epochs actually run.
         """
+        for field, value in (
+            ("hidden_dim", hidden_dim),
+            ("epochs", epochs),
+            ("batch_size", batch_size),
+        ):
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value}")
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {lr}")
+        if not (np.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be a finite number >= 0, got {weight_decay}"
+            )
         if patience is not None and patience < 1:
             raise ValueError("patience must be >= 1 (or None to disable)")
         if tol < 0:
@@ -81,17 +99,24 @@ class MLPPredictor(PredictorBase):
         t = y / self._y_scale
 
         sizes = [X.shape[1], self.hidden_dim, self.hidden_dim, 1]
-        self._weights = [
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        shapes = [
+            shape
             for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))
         ]
-        self._biases = [np.zeros(fan_out) for fan_out in sizes[1:]]
+        # Weights/biases, and their gradients, are views into flat vectors.
+        params = np.zeros(sum(int(np.prod(shape)) for shape in shapes))
+        grads = np.zeros_like(params)
+        param_views = _views(params, shapes)
+        grad_views = _views(grads, shapes)
+        self._weights, self._biases = param_views[0::2], param_views[1::2]
+        g_ws, g_bs = grad_views[0::2], grad_views[1::2]
+        for w in self._weights:
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
 
         # Adam state.
-        m_w = [np.zeros_like(w) for w in self._weights]
-        v_w = [np.zeros_like(w) for w in self._weights]
-        m_b = [np.zeros_like(b) for b in self._biases]
-        v_b = [np.zeros_like(b) for b in self._biases]
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
 
@@ -120,27 +145,25 @@ class MLPPredictor(PredictorBase):
                 err = pred - tb
                 epoch_loss += float(err @ err)
 
-                # Backward.
+                # Backward: all gradients from the pre-update weights.
                 grad = (2.0 * err / idx.size)[:, None]
                 for layer in range(len(self._weights) - 1, -1, -1):
-                    g_w = acts[layer].T @ grad + self.weight_decay * self._weights[layer]
-                    g_b = grad.sum(axis=0)
+                    w = self._weights[layer]
+                    np.matmul(acts[layer].T, grad, out=g_ws[layer])
+                    g_ws[layer] += self.weight_decay * w
+                    np.sum(grad, axis=0, out=g_bs[layer])
                     if layer > 0:
-                        grad = (grad @ self._weights[layer].T) * (pre[layer - 1] > 0)
+                        grad = (grad @ w.T) * (pre[layer - 1] > 0)
 
-                    step_t = step + 1
-                    for g, m, v, param in (
-                        (g_w, m_w[layer], v_w[layer], self._weights[layer]),
-                        (g_b, m_b[layer], v_b[layer], self._biases[layer]),
-                    ):
-                        m *= beta1
-                        m += (1 - beta1) * g
-                        v *= beta2
-                        v += (1 - beta2) * g * g
-                        m_hat = m / (1 - beta1**step_t)
-                        v_hat = v / (1 - beta2**step_t)
-                        param -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+                # Adam, one elementwise update over every parameter.
                 step += 1
+                m *= beta1
+                m += (1 - beta1) * grads
+                v *= beta2
+                v += (1 - beta2) * grads * grads
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                params -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
             epoch_loss /= n
             self.loss_history_.append(epoch_loss)
             if self.patience is not None:
@@ -187,3 +210,13 @@ class MLPPredictor(PredictorBase):
         self._weights = [np.asarray(w, dtype=float) for w in state["weights"]]
         self._biases = [np.asarray(b, dtype=float) for b in state["biases"]]
         self.loss_history_ = [float(x) for x in state["loss_history"]]
+
+
+def _views(flat: np.ndarray, shapes) -> List[np.ndarray]:
+    """Consecutive reshaped views of ``flat``, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views

@@ -1,13 +1,15 @@
 """CART regression trees in pure numpy, plus the zoo's tree predictor.
 
 `_RegressionTree` is the shared engine: variance-reduction splits found by
-a vectorised prefix-sum scan per feature (no Python loop over candidate
-thresholds), stored as flat parallel arrays so prediction is a branch-free
-array walk and serialisation is plain lists.  Ties between equally good
-splits resolve to the lowest feature index and then the lowest threshold,
-which is what makes tree fits — and everything stacked on them
-(`RandomForestPredictor`, `GradientBoostingPredictor`) — bit-reproducible
-across platforms.
+one vectorised pass over all features at once (no Python loop over
+features or candidate thresholds), stored as flat parallel arrays so
+prediction is a branch-free array walk and serialisation is plain lists.
+The all-features scan computes every SSE with the same sequential prefix
+sums a per-feature scan would, so the fitted floats do not depend on how
+the scan is batched.  Ties between equally good splits resolve to the
+lowest feature index and then the lowest threshold, which is what makes
+tree fits — and everything stacked on them (`RandomForestPredictor`,
+`GradientBoostingPredictor`) — bit-reproducible across platforms.
 
 `CARTPredictor` wraps one tree in the zoo's predictor protocol.
 """
@@ -47,47 +49,64 @@ class _RegressionTree:
     ) -> "Optional[tuple[int, float]]":
         """(feature, threshold) minimising the children's summed SSE.
 
-        For each feature the targets are scanned in sorted feature order;
-        prefix sums give every candidate split's left/right SSE in one
-        vectorised pass.  Splits are only allowed between *distinct*
-        feature values and where both children keep ``min_samples_leaf``.
+        All features are scanned in one pass over the ``(n, d)`` block:
+        a column-wise stable argsort orders every column's targets, and
+        axis-0 prefix sums give each candidate split's left/right SSE as
+        one ``(n - 1, d)`` matrix.  Splits are only allowed between
+        *distinct* feature values and where both children keep
+        ``min_samples_leaf``.
+
+        The result is bit-identical to scanning the features one at a
+        time: an axis-0 cumsum accumulates each column in the same
+        sequential order as a 1-D cumsum, the last target is squared as
+        a scalar just as there, and every other step is elementwise.
+        A first argmin down each column and then a first
+        argmin across the column minima pick the lowest threshold, then
+        the lowest feature index, among equally good splits.
         """
-        n = y.shape[0]
-        best_score = np.inf
-        best: Optional[tuple[int, float]] = None
-        for j in range(X.shape[1]):
-            xj = X[:, j]
-            order = np.argsort(xj, kind="stable")
-            xs, ys = xj[order], y[order]
-            # i = size of the left child, 1..n-1.
-            i = np.arange(1, n)
-            csum = np.cumsum(ys)[:-1]
-            csum2 = np.cumsum(ys * ys)[:-1]
-            total, total2 = csum[-1] + ys[-1], csum2[-1] + ys[-1] ** 2
-            sse = (
-                (csum2 - csum * csum / i)
-                + ((total2 - csum2) - (total - csum) ** 2 / (n - i))
-            )
-            valid = (
-                (xs[1:] > xs[:-1])
-                & (i >= min_samples_leaf)
-                & (n - i >= min_samples_leaf)
-            )
-            if not valid.any():
-                continue
-            sse = np.where(valid, sse, np.inf)
-            pos = int(np.argmin(sse))  # first minimum -> lowest threshold
-            if sse[pos] < best_score:  # strict -> lowest feature index wins
-                best_score = float(sse[pos])
-                t = (xs[pos] + xs[pos + 1]) / 2.0
-                if t >= xs[pos + 1]:
-                    # The midpoint of two nearly-adjacent floats can round
-                    # up to the right value; ``X <= t`` would then send
-                    # every row left and leave an empty child.  Fall back
-                    # to the left value, which splits exactly as scored.
-                    t = xs[pos]
-                best = (j, float(t))
-        return best
+        n, d = X.shape
+        if d == 0:
+            return None
+        order = np.argsort(X, axis=0, kind="stable")
+        xs = np.take_along_axis(X, order, axis=0)
+        ys = y[order]
+        # Row r of the scan is the split whose left child holds r+1 rows.
+        i = np.arange(1, n)[:, None]
+        csum = np.cumsum(ys, axis=0)[:-1]
+        csum2 = np.cumsum(ys * ys, axis=0)[:-1]
+        # The last target is squared as a scalar, per column: a scalar
+        # ``** 2`` goes through libm ``pow``, which can land one ulp away
+        # from the array square, and the per-feature scan squared a scalar.
+        last2 = np.array([v**2 for v in ys[-1]])
+        total, total2 = csum[-1] + ys[-1], csum2[-1] + last2
+        sse = (
+            (csum2 - csum * csum / i)
+            + ((total2 - csum2) - (total - csum) ** 2 / (n - i))
+        )
+        valid = (
+            (xs[1:] > xs[:-1])
+            & (i >= min_samples_leaf)
+            & (n - i >= min_samples_leaf)
+        )
+        sse = np.where(valid, sse, np.inf)
+        cols = np.arange(d)
+        pos = np.argmin(sse, axis=0)  # first minimum -> lowest threshold
+        col_best = sse[pos, cols]
+        # A column whose first minimum is NaN (overflowing targets) offers
+        # no split, exactly as if none of its splits were valid.
+        col_best[np.isnan(col_best)] = np.inf
+        j = int(np.argmin(col_best))  # first minimum -> lowest feature
+        if not col_best[j] < np.inf:
+            return None
+        p = pos[j]
+        t = (xs[p, j] + xs[p + 1, j]) / 2.0
+        if t >= xs[p + 1, j]:
+            # The midpoint of two nearly-adjacent floats can round up to
+            # the right value; ``X <= t`` would then send every row left
+            # and leave an empty child.  Fall back to the left value,
+            # which splits exactly as scored.
+            t = xs[p, j]
+        return j, float(t)
 
     def fit(
         self,

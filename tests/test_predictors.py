@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro import (
+    AdaptiveSwitchingPredictor,
+    ESMConfig,
+    ESMLoop,
     LookupTableSurrogate,
     MLPPredictor,
     get_predictor,
@@ -150,6 +153,59 @@ class TestMLPEarlyStopping:
             MLPPredictor(patience=0)
         with pytest.raises(ValueError):
             MLPPredictor(tol=-1e-3)
+
+
+class TestMLPHyperparameterValidation:
+    """Nonsense hyperparameters fail at construction, naming the field."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_hidden_dim(self, value):
+        with pytest.raises(ValueError, match="hidden_dim"):
+            MLPPredictor(hidden_dim=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_epochs(self, value):
+        with pytest.raises(ValueError, match="epochs"):
+            MLPPredictor(epochs=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_batch_size(self, value):
+        with pytest.raises(ValueError, match="batch_size"):
+            MLPPredictor(batch_size=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.01, float("nan"), float("inf")])
+    def test_lr(self, value):
+        with pytest.raises(ValueError, match="lr"):
+            get_predictor("mlp", lr=value)
+
+    @pytest.mark.parametrize("value", [-1e-4, float("nan"), float("inf")])
+    def test_weight_decay(self, value):
+        with pytest.raises(ValueError, match="weight_decay"):
+            MLPPredictor(weight_decay=value)
+
+    def test_boundary_values_accepted(self):
+        X, y = _linear_toy(n=8)
+        mlp = MLPPredictor(hidden_dim=1, epochs=1, batch_size=1, weight_decay=0.0)
+        assert np.isfinite(mlp.fit(X, y).predict(X)).all()
+
+    def test_rejected_through_zoo_params_and_esm_config(self, tmp_path):
+        X, y = _linear_toy(n=30)
+        switcher = AdaptiveSwitchingPredictor(
+            zoo=["ridge", "mlp"], zoo_params={"mlp": {"epochs": 0}}
+        )
+        with pytest.raises(ValueError, match="epochs"):
+            switcher.fit(X, y)
+        config = ESMConfig(
+            predictor="mlp",
+            predictor_params={"lr": float("nan")},
+            initial_size=12,
+            max_iterations=1,
+            runs=3,
+            n_references=1,
+            batch_size=12,
+        )
+        with pytest.raises(ValueError, match="lr"):
+            ESMLoop(config, tmp_path / "run").run()
 
 
 class TestMLPPersistence:

@@ -4,7 +4,10 @@ A campaign re-resolves the same analytical latencies constantly — the QC
 references are re-measured on every batch attempt and every sample stores
 its ground truth — so the analytical cache is worth a large factor on the
 whole pipeline, not just on microbenchmarks.  The baseline runs the same
-200-config campaign with the cache disabled (the seed code path).
+200-config campaign with the per-config cache disabled (``cache_size=0``).
+The device's per-block roofline rows stay on in both runs, so the baseline
+sums block rows instead of re-lowering every network, as it did before
+those rows existed.
 
 The parallel path (``workers > 1``) is timed too, with the host's CPU
 count recorded next to the number: batches only overlap when there are

@@ -1,18 +1,19 @@
 """Bounded LRU cache for per-config analytical results.
 
-The simulator's deterministic work — lowering an `ArchConfig` to the layer
-IR and sweeping the roofline model over every layer — is identical for
-every one of the 150 noisy runs of the same config, and reference models
-are re-measured in *every* campaign batch.  `AnalyticalCache` memoizes
-that work behind the config's `cache_key()` so a repeated measurement
-costs a dict lookup instead of an IR rebuild.
+The simulator's analytical latency of a config is identical for every one
+of the 150 noisy runs of that config, and reference models are
+re-measured in *every* campaign batch.  `AnalyticalCache` memoizes the
+latency behind the config's `cache_key()` so a repeated measurement costs
+a dict lookup instead of a sum over the config's block rows.
 
 The cache is bounded (least-recently-used eviction) so a long campaign
 over a large sweep cannot grow memory without limit, and it keeps
 hit/miss counters so benchmarks and tests can assert cache behaviour
-instead of guessing at it.  ``maxsize=0`` disables caching entirely —
-every lookup misses and nothing is stored — which is how the benchmark
-harness reproduces the pre-cache baseline.
+instead of guessing at it.  ``maxsize=0`` disables this per-config cache
+entirely -- every lookup misses and nothing is stored -- so each call sums
+the config's block rows again.  It does not disable the device's
+per-block roofline rows (see `repro.hardware.simulator`), which are always
+on: no block is lowered twice on one device profile either way.
 """
 
 from __future__ import annotations

@@ -13,12 +13,24 @@ transient, multiplicative jitter, sparse positive outliers);
 paper's: discard the fastest and slowest 20% of runs, average the middle
 60%.
 
-Two structural properties make the measurement hot path cheap:
+Three structural properties make the measurement hot path cheap:
 
 * The analytical latency of an `ArchConfig` is memoized in a bounded LRU
   (`AnalyticalCache`, keyed by `ArchConfig.cache_key()`), so the 150 noisy
   runs of one config — and the reference models re-measured every campaign
-  batch — pay for the IR lowering and roofline sweep exactly once.
+  batch — cost one latency evaluation.
+* That evaluation lowers each distinct block once per device profile.
+  The block walk (`repro.network.builders.block_walk`) keys every block
+  by the local values its layers depend on; the device keeps one compact
+  roofline row per key (per-layer seconds and memory-bound flags, and
+  the block's footprint: weight bytes and largest input+output pair) and
+  lowers a block only the first time its key appears -- through
+  `build_network`, given just the config's unseen blocks.  A config's
+  latency is then its rows summed left to right in layer order under the
+  two global terms — bit-identical to sweeping the full layer IR.  The
+  rows belong to the device profile: they are dropped with the LRU when
+  the profile is swapped, and are always on (``cache_size`` sizes only
+  the per-config LRU).
 * The noise model is generated block-wise: `_trace_block` draws each
   config's randomness in the canonical order (session, throttle, jitter,
   outlier positions, outlier heights) and then applies the deterministic
@@ -30,14 +42,15 @@ Two structural properties make the measurement hot path cheap:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..archspace.config import ArchConfig
-from ..network.analysis import working_set_bytes
-from ..network.builders import build_network
-from ..network.ir import Network
+from ..network.analysis import Footprint, footprint, working_set
+from ..network.builders import block_walk, build_network
+from ..network.ir import Layer, Network
 from ..profiling.protocol import MeasurementProtocol
 from ..utils import ensure_rng
 from .cache import AnalyticalCache, CacheInfo
@@ -45,6 +58,15 @@ from .profiles import DeviceProfile, device_by_name
 from .roofline import layer_time
 
 __all__ = ["SimulatedDevice"]
+
+#: One block's roofline row: per-layer seconds and memory-bound flags, and
+#: the block's footprint (weight bytes, largest input+output pair).
+_Row = Tuple[Tuple[float, ...], Tuple[bool, ...], Footprint]
+
+
+def _block_name(layer: Layer) -> str:
+    # `lower_block` names a block's layers ``{block name}.<layer>``.
+    return layer.name.rpartition(".")[0]
 
 
 class SimulatedDevice:
@@ -61,54 +83,92 @@ class SimulatedDevice:
         self.profile = profile
         self.rng = ensure_rng(seed)
         self.analytical_cache = AnalyticalCache(cache_size)
+        self._block_rows: Dict[tuple, _Row] = {}
         self._cache_profile = profile
 
     # ------------------------------------------------------------------ #
     # Deterministic analytical latency
     # ------------------------------------------------------------------ #
 
-    def _as_network(self, target: Union[ArchConfig, Network]) -> Network:
-        return target if isinstance(target, Network) else build_network(target)
+    def _row(self, layers: Sequence[Layer]) -> _Row:
+        """Roofline row of a run of layers: everything the sum needs.
 
-    def _cache_pressure(self, net: Network) -> float:
-        """Slowdown multiplier for memory-bound layers (global term)."""
-        working_set = working_set_bytes(net)
-        if working_set <= self.profile.cache_bytes:
-            return 1.0
-        overflow = 1.0 - self.profile.cache_bytes / working_set
-        return 1.0 + self.profile.cache_penalty * overflow
+        ``layer_time`` is resolved through this module's namespace, so a
+        profiler hooked there counts every roofline evaluation.
+        """
+        seconds, memory_bound = [], []
+        for layer in layers:
+            s, mb = layer_time(layer, self.profile)
+            seconds.append(s)
+            memory_bound.append(mb)
+        return tuple(seconds), tuple(memory_bound), footprint(layers)
 
-    def _analytical_latency(self, net: Network) -> float:
-        """The full IR sweep: per-layer roofline plus the global terms."""
-        pressure = self._cache_pressure(net)
+    def _sum_rows(self, rows: Sequence[_Row]) -> float:
+        """Per-layer roofline times plus the two global terms.
+
+        The working set of the rows' footprints sets a cache-pressure
+        multiplier on memory-bound layers, and the layer count sets the
+        launch overhead.  The seconds are accumulated left to right in
+        layer order with one plain ``+=`` each (no pairwise ``np.sum``,
+        no compensated builtin ``sum``), which fixes every bit of the
+        result.
+        """
+        p = self.profile
+        ws = working_set(row[2] for row in rows)
+        if ws <= p.cache_bytes:
+            pressure = 1.0
+        else:
+            pressure = 1.0 + p.cache_penalty * (1.0 - p.cache_bytes / ws)
         total = 0.0
-        for layer in net.layers:
-            seconds, memory_bound = layer_time(layer, self.profile)
-            total += seconds * (pressure if memory_bound else 1.0)
-        launch = (
-            self.profile.launch_overhead_s
-            * len(net.layers) ** self.profile.launch_exponent
-        )
-        return total + launch
+        n_layers = 0
+        for seconds, memory_bound, _ in rows:
+            n_layers += len(seconds)
+            for s, mb in zip(seconds, memory_bound):
+                total += s * (pressure if mb else 1.0)
+        return total + p.launch_overhead_s * n_layers**p.launch_exponent
+
+    def _config_latency(self, config: ArchConfig) -> float:
+        """Sum the memoised block rows of ``config``, lowering new blocks.
+
+        The blocks the memo has not seen are lowered together in one
+        `build_network` call, resolved through this module's namespace so
+        a profiler hooked there times every lowering.
+        """
+        blocks = block_walk(config)  # validates before any lookup
+        memo = self._block_rows
+        rows = [memo.get(key) for _, key in blocks]
+        if None in rows:
+            new = {}
+            for (name, key), row in zip(blocks, rows):
+                if row is None and key not in new:
+                    new[key] = name
+            lowered = build_network(config, [(name, key) for key, name in new.items()])
+            for key, (_, layers) in zip(new, groupby(lowered.layers, _block_name)):
+                memo[key] = self._row(tuple(layers))
+            rows = [memo[key] for _, key in blocks]
+        return self._sum_rows(rows)
 
     def true_latency(self, target: Union[ArchConfig, Network]) -> float:
         """Noise-free end-to-end latency in seconds.
 
-        `ArchConfig` targets are memoized behind `ArchConfig.cache_key()`;
-        a pre-built `Network` bypasses the cache (it has no canonical key
-        and callers who lowered it themselves own its lifetime).
+        `ArchConfig` targets are memoized behind `ArchConfig.cache_key()`,
+        and each of their blocks' roofline rows behind its block key; a
+        pre-built `Network` bypasses both (it has no canonical key and
+        callers who lowered it themselves own its lifetime) and is summed
+        as one row by the same routine.
         """
         if not isinstance(target, ArchConfig):
-            return self._analytical_latency(target)
+            return self._sum_rows((self._row(target.layers),))
         if self.profile != self._cache_profile:
             # The profile was swapped out underneath us: every cached
-            # latency belongs to the old device, so drop them all.
+            # latency and block row belongs to the old device.
             self.analytical_cache.clear()
+            self._block_rows.clear()
             self._cache_profile = self.profile
         key = target.cache_key()
         value = self.analytical_cache.get(key)
         if value is None:
-            value = self._analytical_latency(build_network(target))
+            value = self._config_latency(target)
             self.analytical_cache.put(key, value)
         return value
 

@@ -22,7 +22,10 @@ selection pressure pointing at the feasible region from outside it).
 
 Static costs are memoised per architecture (configs are hashable), so a
 search that revisits a config — elitist survivors do, every generation —
-pays for one IR lowering only.
+pays for one IR lowering only.  That lowering is `build_network`, i.e.
+the same per-family block walk the simulator's latency rows come from, so
+a config outside its family's schedule is rejected here with the same
+`ValueError`.
 """
 
 from __future__ import annotations

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Tuple
 
-from .ir import Network
+from .ir import Layer, Network
+
+#: ``(weight bytes, largest input+output bytes)``: the two parts of the
+#: working-set rule, for any run of layers.
+Footprint = Tuple[float, float]
 
 __all__ = [
     "total_flops",
     "total_params",
     "total_traffic_bytes",
+    "footprint",
+    "working_set",
     "working_set_bytes",
     "num_kernels",
     "NetworkCosts",
@@ -32,18 +38,39 @@ def total_traffic_bytes(net: Network) -> float:
     return sum(layer.traffic_bytes for layer in net.layers)
 
 
-def working_set_bytes(net: Network) -> float:
-    """Resident bytes competing for cache during one inference.
+def footprint(layers: Iterable[Layer]) -> Footprint:
+    """``(weight bytes, largest input+output bytes)`` of a run of layers."""
+    weights = peak_io = 0.0
+    for layer in layers:
+        weights += layer.weight_bytes
+        io = layer.input_bytes + layer.output_bytes
+        if io > peak_io:
+            peak_io = io
+    return weights, peak_io
+
+
+def working_set(parts: Iterable[Footprint]) -> float:
+    """Resident bytes competing for cache, from the parts' footprints.
 
     Model weights are touched once per inference and stay hot across the
     run loop, so the whole parameter footprint counts; activations
-    contribute their single largest producer/consumer pair.
+    contribute their single largest producer/consumer pair.  A part is
+    any run of layers (one block, or the whole network), so the rule
+    composes: the working set of a network is that of its blocks'
+    footprints.  Every byte count is an integer-valued float below 2**53,
+    so the result is exact in any order.
     """
-    weights = sum(layer.weight_bytes for layer in net.layers)
-    peak_activation = max(
-        (layer.input_bytes + layer.output_bytes for layer in net.layers), default=0.0
-    )
-    return weights + peak_activation
+    weights = peak_io = 0.0
+    for part_weights, part_peak_io in parts:
+        weights += part_weights
+        if part_peak_io > peak_io:
+            peak_io = part_peak_io
+    return weights + peak_io
+
+
+def working_set_bytes(net: Network) -> float:
+    """Resident bytes competing for cache during one inference."""
+    return working_set((footprint(net.layers),))
 
 
 def num_kernels(net: Network) -> int:
@@ -56,8 +83,8 @@ class NetworkCosts(NamedTuple):
 
     This is the deployment-budget view of an architecture — the quantities
     a `repro.nas.constraints.SearchConstraints` budget is written against —
-    collected in one pass over the IR so constraint evaluation does not
-    re-walk the layer list once per budget axis.
+    collected in one call so constraint evaluation does not re-walk the
+    layer list once per budget axis.
     """
 
     flops: float
@@ -68,21 +95,17 @@ class NetworkCosts(NamedTuple):
 
 
 def network_costs(net: Network) -> NetworkCosts:
-    """All static cost totals of ``net`` in a single IR traversal."""
-    flops = params = traffic = weights = 0.0
-    peak_activation = 0.0
+    """All static cost totals of ``net``: one pass for the sums, plus the
+    working-set rule."""
+    flops = params = traffic = 0.0
     for layer in net.layers:
         flops += layer.flops
         params += layer.params
         traffic += layer.traffic_bytes
-        weights += layer.weight_bytes
-        peak_activation = max(
-            peak_activation, layer.input_bytes + layer.output_bytes
-        )
     return NetworkCosts(
         flops=flops,
         params=params,
         traffic_bytes=traffic,
-        working_set_bytes=weights + peak_activation,
+        working_set_bytes=working_set_bytes(net),
         num_kernels=len(net.layers),
     )

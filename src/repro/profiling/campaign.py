@@ -32,14 +32,14 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..archspace.config import ArchConfig
-from ..data.dataset import LatencyDataset, LatencySample
+from ..data.dataset import DatasetError, LatencyDataset, LatencySample
 from ..hardware.errors import MeasurementError
-from ..utils import run_pooled
+from ..utils import quarantine, run_pooled
 from .protocol import MeasurementProtocol
 from .reference import ReferenceSet
 from .report import AttemptRecord, BatchRecord, CampaignReport
@@ -419,7 +419,11 @@ class CampaignRunner:
         executes before returning — the hook tests use to interrupt a
         campaign mid-sweep; production callers leave it None.  The result
         always reflects every batch completed so far, by this process or a
-        previous one.
+        previous one, in batch order.  Batches this call commits come from
+        memory: the samples each shard was just written from.  Only
+        batches inherited from an earlier call are loaded from their
+        shards, up front; a corrupt one is quarantined (kept as
+        ``batch-NNNN.json.corrupt``) and re-measured.
 
         With ``workers > 1`` the pending batches are farmed out to a
         spawn-safe process pool.  Each batch's RNG streams depend only on
@@ -433,12 +437,18 @@ class CampaignRunner:
         """
         started = time.monotonic()
         manifest = self._load_or_init_manifest()
+        pending, batches = self._pending_batches(manifest, max_batches)
+
+        def commit(index: int, result) -> None:
+            self._commit_batch(index, *result, manifest)
+            batches[index] = result[0]
+
         degradations = run_pooled(
-            self._pending_batches(manifest, max_batches),
+            pending,
             self._task,
             _execute_batch,
             self._run_batch,
-            lambda index, result: self._commit_batch(index, *result, manifest),
+            commit,
             workers=self.workers,
             mp_context=self.mp_context,
         )
@@ -453,27 +463,37 @@ class CampaignRunner:
         report.wall_clock_s = time.monotonic() - started
         report.save(self.store.report_path)
         dataset = LatencyDataset()
-        for index in range(self.n_batches):
-            if self.store.has_shard(index):
-                dataset.extend(self.store.read_shard(index).samples)
+        for index in sorted(batches):
+            dataset.extend(batches[index])
         return CampaignResult(dataset=dataset, report=report)
 
     def _pending_batches(
         self, manifest: dict, max_batches: Optional[int] = None
-    ) -> List[int]:
-        """Batches not yet durably committed, marking inherited ones."""
+    ) -> Tuple[List[int], Dict[int, List[LatencySample]]]:
+        """Batches still to run, and the samples of inherited ones.
+
+        A batch is inherited when the manifest records it and its shard
+        loads; it is marked resumed.  A recorded shard that fails to load
+        is quarantined, its record dropped, and the batch run again: its
+        RNG streams depend only on ``(seed, batch, attempt)``, so the new
+        shard is byte-identical to the lost one.
+        """
         pending: List[int] = []
+        inherited: Dict[int, List[LatencySample]] = {}
         for index in range(self.n_batches):
             recorded = manifest["batches"].get(str(index))
             if recorded is not None and self.store.has_shard(index):
-                # Completed by an earlier process (or earlier call): skip.
-                if not recorded.get("resumed"):
+                try:
+                    inherited[index] = self.store.read_shard(index).samples
+                except DatasetError:
+                    quarantine(self.store.shard_path(index))
+                    del manifest["batches"][str(index)]
+                else:
                     recorded["resumed"] = True
-                continue
-            if max_batches is not None and len(pending) >= max_batches:
-                break
-            pending.append(index)
-        return pending
+                    continue
+            if max_batches is None or len(pending) < max_batches:
+                pending.append(index)
+        return pending, inherited
 
     def _commit_batch(
         self,

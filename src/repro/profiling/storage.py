@@ -16,6 +16,10 @@ its batch's shard is durably in place.  A campaign killed at any point
 therefore leaves a directory from which `CampaignRunner` resumes without
 re-measuring a single completed batch, and without ever reading a
 half-written file.
+
+The manifest is compact JSON (no indentation, so `json` takes its C
+encoder) and is rewritten whole on every commit.  Indented manifests
+written by earlier versions load the same way.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class CampaignStore:
         return manifest
 
     def save_manifest(self, manifest: dict) -> None:
-        atomic_write_text(self.manifest_path, json.dumps(manifest, indent=2))
+        atomic_write_text(self.manifest_path, json.dumps(manifest))
 
     # ------------------------------ shards ----------------------------- #
 

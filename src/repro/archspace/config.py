@@ -7,13 +7,16 @@ cached datasets under ``benchmarks/_cache/``) is::
      "units": [[{"kernel_size": 3, "expand_ratio": 0.25}, ...], ...]}
 
 ``expand_ratio`` is ``null`` for families without a width-expansion choice
-(DenseNet).
+(DenseNet).  `ArchConfig.from_dict` is the one parser of this schema —
+datasets, checkpoints, reference sets and the prediction server all use
+it — and malformed input raises `ValueError` naming the field's path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 __all__ = ["BlockConfig", "ArchConfig"]
 
@@ -27,14 +30,6 @@ class BlockConfig:
 
     def to_dict(self) -> dict:
         return {"kernel_size": self.kernel_size, "expand_ratio": self.expand_ratio}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlockConfig":
-        expand = d["expand_ratio"]
-        return cls(
-            kernel_size=int(d["kernel_size"]),
-            expand_ratio=None if expand is None else float(expand),
-        )
 
 
 @dataclass(frozen=True)
@@ -107,9 +102,96 @@ class ArchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
-        return cls(
-            family=str(d["family"]),
-            units=tuple(
-                tuple(BlockConfig.from_dict(b) for b in blocks) for blocks in d["units"]
-            ),
+        """Parse the on-disk/wire schema; the one parser every caller uses.
+
+        A single pass coerces each block (``int`` kernel, ``float`` or
+        ``None`` expand) and builds the `cache_key` alongside the units, so
+        the key is set up front rather than rebuilt from the blocks.
+        Blocks come from a shared table (`_interned_block`), so a config
+        holds the same `BlockConfig` objects as every other config making
+        the same choice instead of building its own.
+
+        Malformed input raises `ValueError` naming the offending field by
+        its path, e.g. ``config.units[2][0].kernel_size``.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object, got {type(d).__name__}")
+        try:
+            family = str(d["family"])
+            units_in = d["units"]
+        except KeyError as exc:
+            raise ValueError(f"config.{exc.args[0]} is missing") from None
+        if type(units_in) is not list and type(units_in) is not tuple:
+            raise ValueError(
+                f"config.units must be a list of lists, got {type(units_in).__name__}"
+            )
+        interned = _INTERNED
+        units = []
+        units_key = []
+        for u, blocks_in in enumerate(units_in):
+            if type(blocks_in) is not list and type(blocks_in) is not tuple:
+                raise ValueError(
+                    f"config.units[{u}] must be a list of blocks, "
+                    f"got {type(blocks_in).__name__}"
+                )
+            if not blocks_in:
+                raise ValueError(
+                    f"config.units[{u}] is empty: every unit must contain at "
+                    "least one block"
+                )
+            blocks = []
+            blocks_key = []
+            try:
+                for b in blocks_in:
+                    field = "kernel_size"
+                    k = int(b["kernel_size"])
+                    field = "expand_ratio"
+                    e = b["expand_ratio"]
+                    if e is not None:
+                        e = float(e)
+                    ke, block = interned.get((k, e)) or _interned_block(k, e)
+                    blocks_key.append(ke)
+                    blocks.append(block)
+            except (KeyError, TypeError, ValueError, OverflowError):
+                i = len(blocks)  # the first block that failed
+                raise ValueError(
+                    _block_error(f"config.units[{u}][{i}]", field, blocks_in[i])
+                ) from None
+            units.append(tuple(blocks))
+            units_key.append(tuple(blocks_key))
+        units = tuple(units)
+        # The fields are already canonical tuples of `BlockConfig`, which is
+        # all `__post_init__` would establish, so skip it.
+        config = object.__new__(cls)
+        vars(config).update(
+            family=family, units=units, _cache_key=(family, tuple(units_key))
         )
+        return config
+
+
+#: ``(kernel_size, expand_ratio) -> ((k, e), BlockConfig)``.  The entries
+#: are immutable, so sharing them is safe; the table is emptied when it
+#: reaches `_INTERN_CAP`, so a request stream of ever-new choices cannot
+#: grow it, and the real choices are interned again on their next use.
+_INTERNED: Dict[Tuple[int, Optional[float]], Tuple[tuple, BlockConfig]] = {}
+_INTERN_CAP = 256
+
+
+def _interned_block(
+    k: int, e: Optional[float]
+) -> Tuple[Tuple[int, Optional[float]], BlockConfig]:
+    """The shared ``(key, block)`` pair for a choice not yet in the table."""
+    if e is not None and not math.isfinite(e):
+        raise ValueError("expand_ratio is not finite")
+    if len(_INTERNED) >= _INTERN_CAP:
+        _INTERNED.clear()
+    entry = _INTERNED[k, e] = ((k, e), BlockConfig(k, e))
+    return entry
+
+
+def _block_error(path: str, field: str, block) -> str:
+    if not isinstance(block, dict):
+        return f"{path} must be an object, got {type(block).__name__}"
+    if field not in block:
+        return f"{path}.{field} is missing"
+    return f"{path}.{field} must be a finite number, got {block[field]!r}"

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..utils import ensure_rng
+from ..utils import ensure_rng, pick
 from .config import ArchConfig, BlockConfig
 from .spaces import SpaceSpec
 
@@ -59,7 +59,7 @@ def mutate(
         expands: List[Optional[float]] = [b.expand_ratio for b in blocks]
 
         if rng.random() < p_depth:
-            depth = int(rng.choice(spec.depth_choices))
+            depth = int(pick(rng, spec.depth_choices))
             if depth <= len(kernels):
                 kernels, expands = kernels[:depth], expands[:depth]
             else:
@@ -68,25 +68,25 @@ def mutate(
                     kernels.append(
                         kernels[0]
                         if spec.uniform_kernel
-                        else int(rng.choice(spec.kernel_choices))
+                        else int(pick(rng, spec.kernel_choices))
                     )
                     expands.append(
                         None
                         if spec.expand_choices is None
-                        else float(rng.choice(spec.expand_choices))
+                        else float(pick(rng, spec.expand_choices))
                     )
 
         if spec.uniform_kernel:
             if rng.random() < p_block:
-                kernels = [int(rng.choice(spec.kernel_choices))] * len(kernels)
+                kernels = [int(pick(rng, spec.kernel_choices))] * len(kernels)
         else:
             for i in range(len(kernels)):
                 if rng.random() < p_block:
-                    kernels[i] = int(rng.choice(spec.kernel_choices))
+                    kernels[i] = int(pick(rng, spec.kernel_choices))
         if spec.expand_choices is not None:
             for i in range(len(expands)):
                 if rng.random() < p_block:
-                    expands[i] = float(rng.choice(spec.expand_choices))
+                    expands[i] = float(pick(rng, spec.expand_choices))
 
         units.append(
             tuple(BlockConfig(k, e) for k, e in zip(kernels, expands))

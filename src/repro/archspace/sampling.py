@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..utils import ensure_rng
+from ..utils import ensure_rng, pick
 from .config import ArchConfig, BlockConfig
 from .spaces import SpaceSpec
 
@@ -59,7 +59,7 @@ class RandomSampler:
 
     def sample(self) -> ArchConfig:
         depths = [
-            int(self.rng.choice(self.spec.depth_choices))
+            int(pick(self.rng, self.spec.depth_choices))
             for _ in range((self.spec.num_units))
         ]
         return self._fill_blocks(depths)
@@ -73,17 +73,17 @@ class RandomSampler:
         units = []
         for depth in depths:
             if spec.uniform_kernel:
-                kernel = int(self.rng.choice(spec.kernel_choices))
+                kernel = int(pick(self.rng, spec.kernel_choices))
                 kernels = [kernel] * depth
             else:
-                kernels = [int(self.rng.choice(spec.kernel_choices)) for _ in range(depth)]
+                kernels = [int(pick(self.rng, spec.kernel_choices)) for _ in range(depth)]
             blocks = tuple(
                 BlockConfig(
                     kernel_size=k,
                     expand_ratio=(
                         None
                         if spec.expand_choices is None
-                        else float(self.rng.choice(spec.expand_choices))
+                        else float(pick(self.rng, spec.expand_choices))
                     ),
                 )
                 for k in kernels
@@ -150,7 +150,7 @@ class BalancedSampler(RandomSampler):
                 for d in choices
                 if total + d + rest_min <= hi and total + d + rest_max >= lo
             ]
-            d = int(self.rng.choice(feasible))
+            d = int(pick(self.rng, feasible))
             depths.append(d)
             total += d
         return depths

@@ -81,7 +81,7 @@ def _reject(config: ArchConfig, spec: SpaceSpec) -> None:
     )
 
 
-def _config_rows(config: ArchConfig, spec: SpaceSpec):
+def config_rows(config: ArchConfig, spec: SpaceSpec):
     """``(depths_row, unit_idx, pos_idx, joint_idx)`` arrays for one config.
 
     Validates space membership along the way (this is the only walk over
@@ -152,7 +152,7 @@ class _BlockTable:
         joint_rows = []
         counts = np.empty(n, dtype=np.intp)
         for i, config in enumerate(configs):
-            row, unit_r, pos_r, joint_r = _config_rows(config, spec)
+            row, unit_r, pos_r, joint_r = config_rows(config, spec)
             depth_rows.append(row)
             unit_rows.append(unit_r)
             pos_rows.append(pos_r)

@@ -5,15 +5,19 @@ request path::
 
     submit(space, device, encoding, config)
       └─ PredictionLRU  ── hit ───────────────► resolved future
-         └─ MicroBatcher ── flush ─► one encode_batch + one predict
-                                       on the registry's current model
+         └─ space check ── not a member ─────► ValueError, alone
+            └─ MicroBatcher ── flush ─► one encode_batch + one predict
+                                          on the registry's current model
 
 A flush snapshots the registry entry **once**, so every response in a
 micro-batch comes from exactly one model version; a hot-swap lands
 between batches, never inside one.  Within a batch, duplicate configs
 (by `ArchConfig.cache_key()`) are encoded and predicted once and fanned
-back out.  Swapping a key replaces its prediction LRU wholesale — the
-invalidation is the same pointer flip the registry itself uses.
+back out.  A config outside its space is rejected before it joins a
+batch, so it fails alone rather than failing its batch-mates; the check
+is the encoders' memoised `config_rows` walk, which the flush reuses.
+Swapping a key replaces its prediction LRU wholesale — the invalidation
+is the same pointer flip the registry itself uses.
 
 The in-process API is the product (`submit` / `predict` /
 `predict_many`); `start_tcp` adds a stdlib-asyncio JSON-lines front end
@@ -21,17 +25,28 @@ The in-process API is the product (`submit` / `predict` /
 `ModelRegistry.poll` loop so freshly retrained surrogates saved over the
 watched files go live without a restart.  ``python -m repro.serve`` is
 the command-line wrapper around exactly this.
+
+The front end costs one reader loop per connection and no task per
+request: cache hits, ``stats``, ``models`` and request errors are
+answered inline, and a miss answers from a done-callback on its batch
+future.  Replies are coalesced per connection into one transport write
+per event-loop turn; the reader waits for the transport to drain only
+when its buffer is above the high-water mark, so a client that stops
+reading stops being read.  A malformed request gets a typed error
+naming its field (``ValueError: config.units[2][0].kernel_size ...``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from ..archspace.config import ArchConfig
 from ..archspace.spaces import SpaceSpec, space_by_name
 from ..encodings import encoder_for
+from ..encodings.encoders import config_rows
 from .batcher import MicroBatcher
 from .cache import CachedPrediction, PredictionLRU
 from .registry import ModelEntry, ModelRegistry, ServeKey
@@ -96,26 +111,14 @@ class PredictionServer:
         """The hot entry point: returns a future, never blocks.
 
         Cache hits resolve immediately; misses join the key's pending
-        micro-batch.  Unknown keys fail here, synchronously, with the
-        registry's error — not inside somebody else's batch.
+        micro-batch.  Unknown keys and configs outside the space fail
+        here, synchronously — not inside somebody else's batch.
         """
-        key = ServeKey(space, device, encoding)
-        cache = self._cache_for(key)
-        self.requests += 1
-        # A disabled cache (maxsize=0) never hits: skip the key hashing.
-        hit = cache.get(config.cache_key()) if cache.maxsize else None
-        if hit is None:
-            return self._batcher.submit(key, config)
-        self.cache_hits += 1
+        result = self._lookup(ServeKey(space, device, encoding), config)
+        if isinstance(result, asyncio.Future):
+            return result
         future = asyncio.get_running_loop().create_future()
-        future.set_result(
-            PredictionResult(
-                latency_s=hit.latency_s,
-                model_version=hit.model_version,
-                batch_seq=hit.batch_seq,
-                cached=True,
-            )
-        )
+        future.set_result(result)
         return future
 
     async def predict(
@@ -133,35 +136,18 @@ class PredictionServer:
     ) -> List[PredictionResult]:
         """Submit a whole sequence concurrently and await all results.
 
-        The bulk twin of `submit`, tuned for throughput two ways: the
-        key/registry/cache resolution happens once for the whole
-        sequence instead of per request, and the futures are awaited in
-        order rather than ``gather``-ed — full batches flush inline
-        during the submit loop, so most futures are already resolved
-        here, and awaiting a done future is a constant-time check while
-        ``gather`` would register a done callback on every future and
-        pay a ``call_soon`` loop turn per request to deliver each
-        result.
+        The bulk twin of `submit`, tuned for throughput: hits come back
+        as results rather than resolved futures, and the futures are
+        awaited in order rather than ``gather``-ed — full batches flush
+        inline during the submit loop, so most futures are already
+        resolved here, and awaiting a done future is a constant-time
+        check while ``gather`` would register a done callback on every
+        future and pay a ``call_soon`` loop turn per request to deliver
+        each result.
         """
         key = ServeKey(space, device, encoding)
-        cache = self._cache_for(key)
-        batcher_submit = self._batcher.submit
-        use_cache = cache.maxsize > 0
-        out: List[object] = []
-        n = 0
-        for config in configs:
-            n += 1
-            hit = cache.get(config.cache_key()) if use_cache else None
-            if hit is None:
-                out.append(batcher_submit(key, config))
-            else:
-                self.cache_hits += 1
-                out.append(
-                    PredictionResult(
-                        hit.latency_s, hit.model_version, hit.batch_seq, True
-                    )
-                )
-        self.requests += n
+        lookup = self._lookup
+        out = [lookup(key, config) for config in configs]
         return [
             (await item) if isinstance(item, asyncio.Future) else item
             for item in out
@@ -174,6 +160,25 @@ class PredictionServer:
     # ------------------------------------------------------------------ #
     # Batch execution
     # ------------------------------------------------------------------ #
+
+    def _lookup(
+        self, key: ServeKey, config: ArchConfig
+    ) -> Union[PredictionResult, "asyncio.Future[PredictionResult]"]:
+        """A cache hit's result, or the future of the batch ``config`` joins.
+
+        Raises for an unknown key and for a config outside the key's
+        space (`config_rows` validates membership, memoised on the
+        config, so the flush's `encode_batch` reuses the walk).
+        """
+        cache = self._cache_for(key)
+        self.requests += 1
+        # A disabled cache (maxsize=0) never hits: skip the key hashing.
+        hit = cache.get(config.cache_key()) if cache.maxsize else None
+        if hit is None:
+            config_rows(config, self._specs[key.space])
+            return self._batcher.submit(key, config)
+        self.cache_hits += 1
+        return PredictionResult(hit.latency_s, hit.model_version, hit.batch_seq, True)
 
     def _cache_for(self, key: ServeKey) -> PredictionLRU:
         """The key's prediction LRU, validating the key on first sight."""
@@ -295,67 +300,141 @@ class PredictionServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        write_lock = asyncio.Lock()
-
-        async def respond(payload: dict) -> None:
-            try:
-                async with write_lock:
-                    writer.write(json.dumps(payload).encode() + b"\n")
-                    await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; its replies go with it
-
-        async def answer(request: dict) -> None:
-            reply = {"id": request.get("id")}
-            try:
-                op = request.get("op", "predict")
-                if op == "stats":
-                    reply.update(self.stats())
-                elif op == "models":
-                    reply["models"] = self.registry.describe()
-                elif op == "predict":
-                    result = await self.predict(
-                        str(request["space"]),
-                        str(request["device"]),
-                        str(request["encoding"]),
-                        ArchConfig.from_dict(request["config"]),
-                    )
-                    reply.update(result.to_dict())
-                else:
-                    raise ValueError(f"unknown op {op!r}")
-            except Exception as exc:  # per-request isolation
-                reply["error"] = f"{type(exc).__name__}: {exc}"
-            await respond(reply)
-
-        tasks: List[asyncio.Task] = []
+        conn = _Connection(writer)
+        transport = writer.transport
+        high_water = transport.get_write_buffer_limits()[1]
         try:
-            async for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
+            while True:
                 try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    await respond({"id": None, "error": f"bad JSON: {exc}"})
+                    line = await reader.readline()
+                except ValueError as exc:  # a line over the reader's limit
+                    conn.send({"id": None, "error": f"ValueError: {exc}"})
                     continue
-                tasks.append(asyncio.ensure_future(answer(request)))
-            if tasks:  # client done sending; flush its in-flight answers
-                await asyncio.gather(*tasks, return_exceptions=True)
+                if not line:
+                    break
+                line = line.strip()
+                if line:
+                    self._answer(line, conn)
+                if transport.get_write_buffer_size() > high_water:
+                    await writer.drain()  # the client is not reading: stop too
+            await conn.finish()  # client done sending; flush its answers
+        except (ConnectionError, OSError):
+            pass  # client went away; its replies go with it
         except asyncio.CancelledError:
             # Server/loop shutdown cancels handlers mid-read.  Swallow the
             # cancellation and finish normally: asyncio's stream-protocol
             # completion callback logs any handler task that ends in the
             # cancelled state, and there is nothing left to salvage here.
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.wait(tasks)
+            # Abort rather than close: a close would wait for a client that
+            # has stopped reading to take the unsent replies.
+            transport.abort()
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass  # pragma: no cover - teardown race
+
+    def _answer(self, line: bytes, conn: "_Connection") -> None:
+        """Answer one request line now, or once its batch flushes."""
+        try:
+            request = json.loads(line)
+        except json.JSONDecodeError as exc:
+            conn.send({"id": None, "error": f"bad JSON: {exc}"})
+            return
+        is_object = isinstance(request, dict)
+        reply = {"id": request.get("id") if is_object else None}
+        try:
+            if not is_object:
+                raise ValueError(
+                    f"a request must be a JSON object, got {type(request).__name__}"
+                )
+            op = request.get("op", "predict")
+            if op == "predict":
+                key = ServeKey(
+                    str(request["space"]),
+                    str(request["device"]),
+                    str(request["encoding"]),
+                )
+                result = self._lookup(key, ArchConfig.from_dict(request["config"]))
+                if isinstance(result, asyncio.Future):
+                    conn.send_when_done(reply, result)
+                    return
+                reply.update(result.to_dict())
+            elif op == "stats":
+                reply.update(self.stats())
+            elif op == "models":
+                reply["models"] = self.registry.describe()
+            else:
+                raise ValueError(f"unknown op {op!r}")
+        except Exception as exc:  # per-request isolation
+            reply["error"] = f"{type(exc).__name__}: {exc}"
+        conn.send(reply)
+
+
+class _Connection:
+    """One JSON-lines client's reply side.
+
+    Replies queue in ``out`` and leave in one transport write per
+    event-loop turn (`flush`, scheduled when ``out`` becomes non-empty),
+    in the order they were sent.  ``outstanding`` counts replies still
+    waiting on a batch, so `finish` can answer every request before the
+    connection closes.
+    """
+
+    __slots__ = ("writer", "loop", "out", "outstanding", "idle")
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        self.loop = asyncio.get_running_loop()
+        self.out: List[str] = []
+        self.outstanding = 0
+        self.idle: Optional[asyncio.Future] = None
+
+    def send(self, reply: dict) -> None:
+        if not self.out:
+            self.loop.call_soon(self.flush)
+        self.out.append(json.dumps(reply))
+
+    def send_when_done(self, reply: dict, future: asyncio.Future) -> None:
+        """Send ``reply`` completed from ``future`` once it resolves."""
+        # Done already when this request filled its batch: answer it now,
+        # ahead of its batch-mates' callbacks, as an awaiting task would.
+        if future.done():
+            self._resolved(reply, future)
+            return
+        self.outstanding += 1
+        future.add_done_callback(partial(self._waited, reply))
+
+    def _resolved(self, reply: dict, future: asyncio.Future) -> None:
+        exc = future.exception()
+        if exc is None:
+            reply.update(future.result().to_dict())
+        else:
+            reply["error"] = f"{type(exc).__name__}: {exc}"
+        self.send(reply)
+
+    def _waited(self, reply: dict, future: asyncio.Future) -> None:
+        self._resolved(reply, future)
+        self.outstanding -= 1
+        if not self.outstanding and self.idle is not None and not self.idle.done():
+            self.idle.set_result(None)
+
+    def flush(self) -> None:
+        if not self.out:
+            return
+        data = ("\n".join(self.out) + "\n").encode()
+        self.out.clear()
+        if not self.writer.transport.is_closing():
+            self.writer.write(data)
+
+    async def finish(self) -> None:
+        """Wait for every outstanding reply, then write them all out."""
+        if self.outstanding:
+            self.idle = self.loop.create_future()
+            await self.idle
+        self.flush()
+        await self.writer.drain()
 
 
 async def request_lines(

@@ -13,7 +13,7 @@ from typing import Any, Callable, Hashable, List, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ensure_rng", "atomic_write_text", "quarantine", "run_pooled"]
+__all__ = ["ensure_rng", "pick", "atomic_write_text", "quarantine", "run_pooled"]
 
 
 def ensure_rng(rng: "int | np.random.Generator | None") -> np.random.Generator:
@@ -27,6 +27,17 @@ def ensure_rng(rng: "int | np.random.Generator | None") -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
+
+
+def pick(rng: np.random.Generator, seq: Sequence):
+    """A uniform draw from ``seq``: the element ``rng.choice(seq)`` returns.
+
+    ``rng.choice`` draws one ``integers(len(seq))`` index after converting
+    ``seq`` to an array; indexing with that draw directly gives the same
+    element and leaves the generator in the same state, without the array
+    round trip (several times cheaper on the sampling and mutation paths).
+    """
+    return seq[int(rng.integers(len(seq)))]
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:

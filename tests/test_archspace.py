@@ -164,3 +164,126 @@ class TestConfigRoundTrip:
     def test_configs_are_hashable(self, resnet_spec):
         sampler = RandomSampler(resnet_spec, rng=0)
         assert len({sampler.sample() for _ in range(30)}) > 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_parsed_config_matches_the_constructed_one(self, data):
+        """Same ``==``, hash, `cache_key` and fields as building the
+        config from its blocks, so the parser's up-front key is the one
+        `cache_key` would compute."""
+        spec = space_by_name(data.draw(st.sampled_from(SPACE_NAMES)))
+        config = RandomSampler(spec, rng=data.draw(st.integers(0, 2**32 - 1))).sample()
+        parsed = ArchConfig.from_dict(config.to_dict())
+        built = ArchConfig(parsed.family, parsed.units)
+        assert parsed == built == config
+        assert hash(parsed) == hash(built) == hash(config)
+        assert parsed.cache_key() == built.cache_key() == config.cache_key()
+        assert parsed.units == config.units
+        assert all(type(b) is BlockConfig for _, b in parsed.iter_blocks())
+        assert parsed.to_dict() == config.to_dict()
+
+    def test_parser_keeps_the_schema_coercions(self):
+        config = ArchConfig.from_dict(
+            {"family": "resnet",
+             "units": [[{"kernel_size": "5", "expand_ratio": "0.25"},
+                        {"kernel_size": 3.0, "expand_ratio": 1}],
+                       [{"kernel_size": True, "expand_ratio": None}]]}
+        )
+        blocks = [b for _, b in config.iter_blocks()]
+        assert blocks == [BlockConfig(5, 0.25), BlockConfig(3, 1.0), BlockConfig(1, None)]
+        assert [type(b.kernel_size) for b in blocks] == [int, int, int]
+        assert type(blocks[1].expand_ratio) is float
+        assert config.cache_key() == ("resnet", (((5, 0.25), (3, 1.0)), ((1, None),)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: "oops", r"^config must be an object, got str$"),
+            (lambda d: d.__delitem__("family"), r"^config\.family is missing$"),
+            (lambda d: d.__delitem__("units"), r"^config\.units is missing$"),
+            (lambda d: d.update(units="abc"), r"^config\.units must be a list of lists, got str$"),
+            (lambda d: d.update(units={"a": 1}), r"^config\.units must be a list of lists, got dict$"),
+            (lambda d: d["units"].__setitem__(1, {"kernel_size": 3}),
+             r"^config\.units\[1\] must be a list of blocks, got dict$"),
+            (lambda d: d["units"].__setitem__(2, []),
+             r"^config\.units\[2\] is empty: every unit must contain at least one block$"),
+            (lambda d: d["units"][2].__setitem__(0, 7),
+             r"^config\.units\[2\]\[0\] must be an object, got int$"),
+            (lambda d: d["units"][2][0].__delitem__("kernel_size"),
+             r"^config\.units\[2\]\[0\]\.kernel_size is missing$"),
+            (lambda d: d["units"][2][0].__delitem__("expand_ratio"),
+             r"^config\.units\[2\]\[0\]\.expand_ratio is missing$"),
+            (lambda d: d["units"][2][0].update(kernel_size="big"),
+             r"^config\.units\[2\]\[0\]\.kernel_size must be a finite number, got 'big'$"),
+            (lambda d: d["units"][2][0].update(kernel_size=None),
+             r"^config\.units\[2\]\[0\]\.kernel_size must be a finite number, got None$"),
+            (lambda d: d["units"][2][0].update(kernel_size=float("inf")),
+             r"^config\.units\[2\]\[0\]\.kernel_size must be a finite number, got inf$"),
+            (lambda d: d["units"][2][0].update(kernel_size=float("nan")),
+             r"^config\.units\[2\]\[0\]\.kernel_size must be a finite number, got nan$"),
+            (lambda d: d["units"][2][0].update(expand_ratio=[0.25]),
+             r"^config\.units\[2\]\[0\]\.expand_ratio must be a finite number, got \[0\.25\]$"),
+            (lambda d: d["units"][2][0].update(expand_ratio=float("nan")),
+             r"^config\.units\[2\]\[0\]\.expand_ratio must be a finite number, got nan$"),
+            (lambda d: d["units"][2][0].update(expand_ratio="-inf"),
+             r"^config\.units\[2\]\[0\]\.expand_ratio must be a finite number, got '-inf'$"),
+        ],
+    )
+    def test_malformed_dicts_name_the_field(self, edit, message):
+        """``edit`` changes a valid dict in place or returns a replacement."""
+        d = {
+            "family": "resnet",
+            "units": [[{"kernel_size": 3, "expand_ratio": 0.25}] for _ in range(4)],
+        }
+        replacement = edit(d)
+        with pytest.raises(ValueError, match=message):
+            ArchConfig.from_dict(d if replacement is None else replacement)
+
+    def test_block_table_is_bounded(self):
+        """Ever-new choices (a hostile request stream) cannot grow the
+        shared block table past its cap; they still parse correctly, and
+        a real choice is shared again after them."""
+        from repro.archspace import config as config_mod
+
+        def parse(k, e):
+            d = {"family": "resnet", "units": [[{"kernel_size": k, "expand_ratio": e}]]}
+            return ArchConfig.from_dict(d).units[0][0]
+
+        for k in range(3 * config_mod._INTERN_CAP):
+            assert parse(1000 + k, 0.5) == BlockConfig(1000 + k, 0.5)
+            assert len(config_mod._INTERNED) <= config_mod._INTERN_CAP
+        assert parse(3, 0.25) is parse(3, 0.25)
+
+
+class TestUniformDrawStream:
+    """`repro.utils.pick` is a drop-in for ``rng.choice(seq)``: sampling and
+    mutation draw the same configs and leave the generator in the same
+    state as the ``choice`` version, so every seeded stream is unchanged."""
+
+    @staticmethod
+    def _draw(spec, seed):
+        from repro.archspace.ops import mutate
+
+        rng = np.random.default_rng(seed)
+        configs = RandomSampler(spec, rng=rng).sample_batch(12)
+        balanced = BalancedSampler(spec, rng=rng, n_bins=4)
+        configs += balanced.sample_batch(12)
+        configs += balanced.sample_counts({0: 3, 3: 3})
+        configs += [mutate(c, spec, rng, p_depth=0.5, p_block=0.5) for c in configs]
+        return configs, rng.bit_generator.state
+
+    @pytest.mark.parametrize("space", SPACE_NAMES)
+    def test_same_configs_and_generator_state_as_choice(self, space, monkeypatch):
+        import repro.archspace.ops as ops
+        import repro.archspace.sampling as sampling
+
+        spec = space_by_name(space)
+        for seed in range(4):
+            picked = self._draw(spec, seed)
+            with monkeypatch.context() as m:
+                for module in (sampling, ops):
+                    m.setattr(module, "pick", lambda rng, seq: rng.choice(seq))
+                chosen = self._draw(spec, seed)
+            assert picked[0] == chosen[0]
+            assert [c.cache_key() for c in picked[0]] == [c.cache_key() for c in chosen[0]]
+            assert picked[1] == chosen[1]

@@ -1,7 +1,7 @@
 """Architecture configurations: concrete points of a supernet space.
 
 The on-disk schema (``format_version: 1``, used by ``repro.data`` and the
-cached datasets under ``benchmarks/_cache/``) is::
+committed dataset fixture under ``tests/fixtures/``) is::
 
     {"family": "resnet",
      "units": [[{"kernel_size": 3, "expand_ratio": 0.25}, ...], ...]}

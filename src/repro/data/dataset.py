@@ -1,7 +1,7 @@
 """Latency datasets: measured samples with JSON persistence.
 
-The serialised form is the ``format_version: 1`` schema used by the cached
-datasets under ``benchmarks/_cache/``::
+The serialised form is the ``format_version: 1`` schema used by the
+committed dataset fixture under ``tests/fixtures/``::
 
     {"format_version": 1,
      "samples": [{"config": {...}, "latency_s": 0.0241,

@@ -25,10 +25,10 @@ Families without an expansion dimension (DenseNet) are handled by treating
 loop, so every encoder vectorizes it: one flattening pass gathers every
 block of the batch into index arrays (`_BlockTable`), and the encoding is
 then materialised with a handful of fancy-indexing / ``np.add.at``
-operations on the preallocated ``(n, length)`` matrix instead of n
-separate `encode` calls.  The per-config loop survives as
-`Encoding._encode_batch_loop`, the reference implementation the
-equivalence tests compare against.
+operations on the preallocated ``(n, length)`` matrix.  ``encode`` is a
+one-config batch, so each encoding has exactly one implementation; the
+per-config reference loops live in ``tests/test_encodings.py`` as the
+oracle the batch path is checked against.
 """
 
 from __future__ import annotations
@@ -185,41 +185,19 @@ class _BlockTable:
 
 
 class Encoding:
-    """Base class: subclasses implement `length`, `encode`, `encode_batch`."""
+    """Base class: subclasses implement `length` and `encode_batch`."""
 
     name: str = "base"
 
     def length(self, spec: SpaceSpec) -> int:
         raise NotImplementedError
 
-    def encode(self, config: ArchConfig, spec: SpaceSpec) -> np.ndarray:
+    def encode_batch(self, configs: Sequence[ArchConfig], spec: SpaceSpec) -> np.ndarray:
+        """``(n, length)`` feature matrix; rejects configs outside ``spec``."""
         raise NotImplementedError
 
-    def encode_batch(self, configs: Sequence[ArchConfig], spec: SpaceSpec) -> np.ndarray:
-        """``(n, length)`` feature matrix; subclasses vectorize this."""
-        return self._encode_batch_loop(configs, spec)
-
-    def _encode_batch_loop(
-        self, configs: Sequence[ArchConfig], spec: SpaceSpec
-    ) -> np.ndarray:
-        """Reference implementation: stack per-config `encode` vectors."""
-        out = np.zeros((len(configs), self.length(spec)))
-        for i, config in enumerate(configs):
-            out[i] = self.encode(config, spec)
-        return out
-
-    def _batch_table(
-        self, configs: Sequence[ArchConfig], spec: SpaceSpec
-    ) -> _BlockTable:
-        """Flatten the batch once, validating membership along the way."""
-        return _BlockTable(configs, spec)
-
-    def _check(self, config: ArchConfig, spec: SpaceSpec) -> None:
-        if not spec.contains(config):
-            raise ValueError(
-                f"config (family={config.family!r}) is not a member of the "
-                f"{spec.family!r} space"
-            )
+    def encode(self, config: ArchConfig, spec: SpaceSpec) -> np.ndarray:
+        return self.encode_batch([config], spec)[0]
 
 
 class OneHotEncoding(Encoding):
@@ -229,24 +207,8 @@ class OneHotEncoding(Encoding):
         n_joint = len(spec.kernel_choices) * len(_expand_choices(spec))
         return spec.num_units * (len(spec.depth_choices) + spec.max_depth * n_joint)
 
-    def encode(self, config: ArchConfig, spec: SpaceSpec) -> np.ndarray:
-        self._check(config, spec)
-        expands = _expand_choices(spec)
-        n_joint = len(spec.kernel_choices) * len(expands)
-        unit_len = len(spec.depth_choices) + spec.max_depth * n_joint
-        vec = np.zeros(self.length(spec))
-        for u, blocks in enumerate(config.units):
-            base = u * unit_len
-            vec[base + spec.depth_choices.index(len(blocks))] = 1.0
-            for b, block in enumerate(blocks):
-                joint = spec.kernel_choices.index(block.kernel_size) * len(
-                    expands
-                ) + expands.index(block.expand_ratio)
-                vec[base + len(spec.depth_choices) + b * n_joint + joint] = 1.0
-        return vec
-
     def encode_batch(self, configs: Sequence[ArchConfig], spec: SpaceSpec) -> np.ndarray:
-        table = self._batch_table(configs, spec)
+        table = _BlockTable(configs, spec)
         n_expand = len(_expand_choices(spec))
         n_joint = len(spec.kernel_choices) * n_expand
         n_depth = len(spec.depth_choices)
@@ -272,23 +234,8 @@ class FeatureEncoding(Encoding):
     def length(self, spec: SpaceSpec) -> int:
         return spec.num_units * (1 + 2 * spec.max_depth)
 
-    def encode(self, config: ArchConfig, spec: SpaceSpec) -> np.ndarray:
-        self._check(config, spec)
-        k_max = max(spec.kernel_choices)
-        e_max = max(spec.expand_choices) if spec.expand_choices else 1.0
-        unit_len = 1 + 2 * spec.max_depth
-        vec = np.zeros(self.length(spec))
-        for u, blocks in enumerate(config.units):
-            base = u * unit_len
-            vec[base] = len(blocks) / spec.max_depth
-            for b, block in enumerate(blocks):
-                vec[base + 1 + 2 * b] = block.kernel_size / k_max
-                if block.expand_ratio is not None:
-                    vec[base + 2 + 2 * b] = block.expand_ratio / e_max
-        return vec
-
     def encode_batch(self, configs: Sequence[ArchConfig], spec: SpaceSpec) -> np.ndarray:
-        table = self._batch_table(configs, spec)
+        table = _BlockTable(configs, spec)
         k_max = max(spec.kernel_choices)
         unit_len = 1 + 2 * spec.max_depth
         out = np.zeros((len(configs), self.length(spec)))
@@ -311,21 +258,6 @@ class StatisticalEncoding(Encoding):
     def length(self, spec: SpaceSpec) -> int:
         return spec.num_units * 5
 
-    def encode(self, config: ArchConfig, spec: SpaceSpec) -> np.ndarray:
-        self._check(config, spec)
-        vec = np.zeros(self.length(spec))
-        for u, blocks in enumerate(config.units):
-            kernels = np.array([b.kernel_size for b in blocks], dtype=float)
-            base = u * 5
-            vec[base] = len(blocks)
-            vec[base + 1] = kernels.mean()
-            vec[base + 2] = kernels.std()
-            if spec.expand_choices is not None:
-                expands = np.array([b.expand_ratio for b in blocks], dtype=float)
-                vec[base + 3] = expands.mean()
-                vec[base + 4] = expands.std()
-        return vec
-
     @staticmethod
     def _moments(
         values: np.ndarray, table: _BlockTable, depths: np.ndarray
@@ -339,7 +271,7 @@ class StatisticalEncoding(Encoding):
         return means, np.sqrt(sq / depths)
 
     def encode_batch(self, configs: Sequence[ArchConfig], spec: SpaceSpec) -> np.ndarray:
-        table = self._batch_table(configs, spec)
+        table = _BlockTable(configs, spec)
         out = np.zeros((len(configs), self.length(spec)))
         if not configs:
             return out
@@ -364,22 +296,8 @@ class FCEncoding(Encoding):
         n_expand = len(spec.expand_choices) if spec.expand_choices else 0
         return spec.num_units * (len(spec.kernel_choices) + n_expand)
 
-    def encode(self, config: ArchConfig, spec: SpaceSpec) -> np.ndarray:
-        self._check(config, spec)
-        n_kernel = len(spec.kernel_choices)
-        n_expand = len(spec.expand_choices) if spec.expand_choices else 0
-        unit_len = n_kernel + n_expand
-        vec = np.zeros(self.length(spec))
-        for u, blocks in enumerate(config.units):
-            base = u * unit_len
-            for block in blocks:
-                vec[base + spec.kernel_choices.index(block.kernel_size)] += 1.0
-                if n_expand:
-                    vec[base + n_kernel + spec.expand_choices.index(block.expand_ratio)] += 1.0
-        return vec
-
     def encode_batch(self, configs: Sequence[ArchConfig], spec: SpaceSpec) -> np.ndarray:
-        table = self._batch_table(configs, spec)
+        table = _BlockTable(configs, spec)
         n_kernel = len(spec.kernel_choices)
         n_expand = len(spec.expand_choices) if spec.expand_choices else 0
         unit_len = n_kernel + n_expand
@@ -400,22 +318,8 @@ class FCCEncoding(Encoding):
     def length(self, spec: SpaceSpec) -> int:
         return spec.num_units * len(spec.kernel_choices) * len(_expand_choices(spec))
 
-    def encode(self, config: ArchConfig, spec: SpaceSpec) -> np.ndarray:
-        self._check(config, spec)
-        expands = _expand_choices(spec)
-        n_joint = len(spec.kernel_choices) * len(expands)
-        vec = np.zeros(self.length(spec))
-        for u, blocks in enumerate(config.units):
-            base = u * n_joint
-            for block in blocks:
-                joint = spec.kernel_choices.index(block.kernel_size) * len(
-                    expands
-                ) + expands.index(block.expand_ratio)
-                vec[base + joint] += 1.0
-        return vec
-
     def encode_batch(self, configs: Sequence[ArchConfig], spec: SpaceSpec) -> np.ndarray:
-        table = self._batch_table(configs, spec)
+        table = _BlockTable(configs, spec)
         n_expand = len(_expand_choices(spec))
         n_joint = len(spec.kernel_choices) * n_expand
         out = np.zeros((len(configs), self.length(spec)))

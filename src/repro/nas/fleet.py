@@ -15,8 +15,9 @@ member search checkpoints per generation under
 atomically to ``member_<seed>/result.json``; a killed fleet resumes
 completed members from their cached results, partially-run members from
 their generation checkpoints, and produces a byte-identical
-`FleetResult` JSON — asserted by the fault tests and by the committed
-``BENCH_search_fleet.json`` record.
+`FleetResult` JSON — asserted by the fault tests in
+``tests/test_nas_fleet.py``.  A torn fleet manifest sets every member
+result aside, since nothing then ties them to this fleet.
 
 CLI::
 
@@ -303,7 +304,15 @@ class SearchFleet:
                 manifest = json.loads(path.read_text())
                 stored = manifest["fingerprint"]
             except (json.JSONDecodeError, KeyError, TypeError):
-                manifest = None
+                # Torn manifest: nothing says the member results belong to
+                # *this* fleet, so set them aside with it.  Each member then
+                # replays from its own fingerprinted checkpoint, which a
+                # different fleet's search refuses.
+                quarantine(path)
+                for member_result in sorted(
+                    self.fleet_dir.glob("member_*/result.json")
+                ):
+                    quarantine(member_result)
             else:
                 if stored != self.fingerprint():
                     raise FleetError(

@@ -15,9 +15,8 @@ This package turns that into a product:
 * `PredictionServer` — the composition, plus a stdlib-asyncio JSON-lines
   TCP front end (``python -m repro.serve``).
 
-`benchmarks/bench_serve.py` measures the request path: p50/p99 latency,
-sustained single-core throughput, and micro-batching speedup over the
-one-request-one-predict baseline.
+``python3 perfbench/run.py --workload serve_tcp`` measures the served
+path: the shipped TCP server under open-loop JSON-lines load.
 """
 
 from .batcher import MicroBatcher

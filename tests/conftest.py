@@ -35,8 +35,8 @@ def densenet_spec():
 
 @pytest.fixture(scope="session")
 def densenet_fixture_path():
-    paths = sorted((REPO_ROOT / "benchmarks" / "_cache").glob("densenet-*.json"))
-    assert paths, "committed densenet fixture missing from benchmarks/_cache/"
+    paths = sorted((REPO_ROOT / "tests" / "fixtures").glob("densenet-*.json"))
+    assert paths, "committed densenet fixture missing from tests/fixtures/"
     return paths[0]
 
 

@@ -147,7 +147,7 @@ class TestLoadErrors:
 
 
 class TestCommittedFixture:
-    """Lock the schema against the committed benchmarks/_cache dataset."""
+    """Lock the schema against the committed tests/fixtures dataset."""
 
     @pytest.fixture(scope="class")
     def fixture_raw(self, densenet_fixture_path):

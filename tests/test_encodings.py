@@ -137,10 +137,114 @@ def test_property_count_invariants(data):
     assert int(fcc_vec.sum()) == config.total_blocks
 
 
+# --------------------------------------------------------------------- #
+# Reference oracle: one plain loop per encoding over a single config's
+# blocks, kept only to check the vectorized `encode_batch` against.
+# --------------------------------------------------------------------- #
+
+
+def _expands(spec):
+    return spec.expand_choices if spec.expand_choices is not None else (None,)
+
+
+def _joint_index(block, spec):
+    expands = _expands(spec)
+    return spec.kernel_choices.index(block.kernel_size) * len(
+        expands
+    ) + expands.index(block.expand_ratio)
+
+
+def _ref_onehot(config, spec, length):
+    n_joint = len(spec.kernel_choices) * len(_expands(spec))
+    unit_len = len(spec.depth_choices) + spec.max_depth * n_joint
+    vec = np.zeros(length)
+    for u, blocks in enumerate(config.units):
+        base = u * unit_len
+        vec[base + spec.depth_choices.index(len(blocks))] = 1.0
+        for b, block in enumerate(blocks):
+            joint = _joint_index(block, spec)
+            vec[base + len(spec.depth_choices) + b * n_joint + joint] = 1.0
+    return vec
+
+
+def _ref_feature(config, spec, length):
+    k_max = max(spec.kernel_choices)
+    e_max = max(spec.expand_choices) if spec.expand_choices else 1.0
+    unit_len = 1 + 2 * spec.max_depth
+    vec = np.zeros(length)
+    for u, blocks in enumerate(config.units):
+        base = u * unit_len
+        vec[base] = len(blocks) / spec.max_depth
+        for b, block in enumerate(blocks):
+            vec[base + 1 + 2 * b] = block.kernel_size / k_max
+            if block.expand_ratio is not None:
+                vec[base + 2 + 2 * b] = block.expand_ratio / e_max
+    return vec
+
+
+def _ref_statistical(config, spec, length):
+    vec = np.zeros(length)
+    for u, blocks in enumerate(config.units):
+        kernels = np.array([b.kernel_size for b in blocks], dtype=float)
+        base = u * 5
+        vec[base] = len(blocks)
+        vec[base + 1] = kernels.mean()
+        vec[base + 2] = kernels.std()
+        if spec.expand_choices is not None:
+            expands = np.array([b.expand_ratio for b in blocks], dtype=float)
+            vec[base + 3] = expands.mean()
+            vec[base + 4] = expands.std()
+    return vec
+
+
+def _ref_fc(config, spec, length):
+    n_kernel = len(spec.kernel_choices)
+    n_expand = len(spec.expand_choices) if spec.expand_choices else 0
+    unit_len = n_kernel + n_expand
+    vec = np.zeros(length)
+    for u, blocks in enumerate(config.units):
+        base = u * unit_len
+        for block in blocks:
+            vec[base + spec.kernel_choices.index(block.kernel_size)] += 1.0
+            if n_expand:
+                vec[
+                    base + n_kernel + spec.expand_choices.index(block.expand_ratio)
+                ] += 1.0
+    return vec
+
+
+def _ref_fcc(config, spec, length):
+    n_joint = len(spec.kernel_choices) * len(_expands(spec))
+    vec = np.zeros(length)
+    for u, blocks in enumerate(config.units):
+        for block in blocks:
+            vec[u * n_joint + _joint_index(block, spec)] += 1.0
+    return vec
+
+
+REFERENCE = {
+    "onehot": _ref_onehot,
+    "feature": _ref_feature,
+    "statistical": _ref_statistical,
+    "fc": _ref_fc,
+    "fcc": _ref_fcc,
+}
+
+
+def reference_batch(name, configs, spec):
+    """Stack the per-config reference vectors into an ``(n, length)`` matrix."""
+    length = get_encoding(name).length(spec)
+    out = np.zeros((len(configs), length))
+    for i, config in enumerate(configs):
+        assert spec.contains(config)
+        out[i] = REFERENCE[name](config, spec, length)
+    return out
+
+
 @pytest.mark.parametrize("family", SPACE_NAMES)
 @pytest.mark.parametrize("name", ALL_ENCODINGS)
 def test_encode_batch_matches_loop(family, name):
-    """The vectorized encode_batch must agree with the per-config loop.
+    """The vectorized encode_batch must agree with the per-config oracle.
 
     Exactly for the index-scatter encoders; to float tolerance for the
     statistical one, whose numpy reductions sum in pairwise rather than
@@ -149,7 +253,7 @@ def test_encode_batch_matches_loop(family, name):
     spec = space_by_name(family)
     configs = RandomSampler(spec, rng=33).sample_batch(64)
     encoding = get_encoding(name)
-    loop = encoding._encode_batch_loop(configs, spec)
+    loop = reference_batch(name, configs, spec)
     vec = encoding.encode_batch(configs, spec)
     assert vec.shape == loop.shape
     assert vec.dtype == loop.dtype

@@ -214,6 +214,17 @@ class TestBitIdentity:
                 config, runs=40, rng=rng
             )
             assert true[i] == device.true_latency(config)
+        # Repeated configs, the shape reference re-measurement produces:
+        # a caching device's batch against the per-config loop on a device
+        # whose config cache is disabled.
+        repeated = configs * 3
+        measured, _ = SimulatedDevice(device_name).measure_batch(
+            repeated, runs=40, rng=np.random.default_rng(7)
+        )
+        uncached = SimulatedDevice(device_name, cache_size=0)
+        rng = np.random.default_rng(7)
+        want = [uncached.measure_latency(c, runs=40, rng=rng) for c in repeated]
+        np.testing.assert_array_equal(measured, np.array(want))
 
     def test_outlier_draws_stay_per_config(self, device_name, family):
         # Outliers are rare; a long trace forces spike draws in some

@@ -16,6 +16,7 @@ import pytest
 from repro import (
     DeviceOracle,
     FleetResult,
+    SearchCheckpointError,
     SearchConstraints,
     SimulatedDevice,
     SyntheticAccuracyProxy,
@@ -187,6 +188,37 @@ class TestDurableFleet:
         make_fleet(harness, fleet_dir=fleet_dir).run()
         other = make_fleet(harness, seeds=[7, 8], fleet_dir=fleet_dir)
         with pytest.raises(FleetError, match="different fleet"):
+            other.run()
+
+    def test_torn_manifest_quarantines_member_results(
+        self, harness, serial_json, tmp_path
+    ):
+        fleet_dir = tmp_path / "fleet"
+        make_fleet(harness, fleet_dir=fleet_dir).run()
+        (fleet_dir / "fleet_manifest.json").write_text('{"fingerpr')
+        # Nothing says the member results belong to this fleet any more:
+        # they are set aside and every member replays from its own
+        # fingerprinted checkpoint.
+        resumed = make_fleet(harness, fleet_dir=fleet_dir).run()
+        assert resumed.to_json() == serial_json
+        assert (fleet_dir / "fleet_manifest.json.corrupt").exists()
+        for seed in SEEDS:
+            member_dir = fleet_dir / f"member_{seed:05d}"
+            assert (member_dir / "result.json.corrupt").exists()
+            assert (member_dir / "result.json").exists()
+
+    def test_torn_manifest_never_hands_results_to_a_foreign_fleet(
+        self, harness, tmp_path
+    ):
+        fleet_dir = tmp_path / "fleet"
+        make_fleet(harness, fleet_dir=fleet_dir).run()
+        (fleet_dir / "fleet_manifest.json").write_text('{"fingerpr')
+        other = make_fleet(
+            harness,
+            search_params={**EVO_PARAMS, "generations": 3},
+            fleet_dir=fleet_dir,
+        )
+        with pytest.raises(SearchCheckpointError, match="different search"):
             other.run()
 
     def test_workers_do_not_enter_the_fingerprint(self, harness):

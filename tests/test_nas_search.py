@@ -129,6 +129,19 @@ class TestEvolutionarySearch:
         init_b = [c.config for c in b.evaluated[:6]]
         assert init_a == init_b
 
+    def test_warm_oracle_reruns_match_a_fresh_oracle(self, spec, proxy):
+        # A device oracle's latency cache fills during the first run; the
+        # repeats are served from it and must not move a byte.
+        kwargs = dict(population_size=6, generations=2, seed=3)
+
+        def run(oracle):
+            return EvolutionarySearch(spec, oracle, proxy, **kwargs).run().to_json()
+
+        warm = DeviceOracle(SimulatedDevice("rtx4090", seed=3))
+        first, second = run(warm), run(warm)
+        fresh = run(DeviceOracle(SimulatedDevice("rtx4090", seed=3)))
+        assert first == second == fresh
+
     def test_mismatched_proxy_rejected(self, spec):
         foreign = SyntheticAccuracyProxy(space_by_name("densenet"))
         with pytest.raises(ValueError, match="same space"):

@@ -91,9 +91,9 @@ class TestFitPredict:
     def test_predict_one_matches_batch(self, name, toy):
         X, y = toy
         predictor = make(name).fit(X, y)
-        assert predictor.predict_one(X[3]) == pytest.approx(
-            float(predictor.predict(X[3:4])[0])
-        )
+        # Exact: the single-query fast path (for `as`, straight to the
+        # winner) must not move a bit against the 1-row batch.
+        assert predictor.predict_one(X[3]) == float(predictor.predict(X[3:4])[0])
 
     def test_satisfies_protocol(self, name):
         assert isinstance(make(name), Predictor)

@@ -98,23 +98,28 @@ class TestRequestPath:
     def test_batched_predictions_bit_identical_to_direct(
         self, spec, configs, model_a
     ):
-        server = make_server(model_a)
-
-        async def scenario():
-            return await server.predict_many(SPACE, DEVICE, ENCODING, configs)
-
-        results = asyncio.run(scenario())
-        assert len(results) == len(configs)
-        assert all(r.model_version == 1 and not r.cached for r in results)
+        # max_batch=1 is the naive server: every request its own flush.
         encoder = encoder_for(ENCODING, spec)
-        for batch in group_by_batch(configs, results).values():
-            rows = [c for c, _ in batch]
-            direct = model_a.predict(encoder.encode_batch(rows, spec))
-            np.testing.assert_array_equal(
-                np.array([r.latency_s for _, r in batch]), direct
-            )
-        # Micro-batching actually happened: far fewer flushes than requests.
-        assert server.stats()["batches"] == len(configs) // 8
+        served = {}
+        for max_batch in (1, 8):
+            server = make_server(model_a, max_batch=max_batch)
+
+            async def scenario():
+                return await server.predict_many(SPACE, DEVICE, ENCODING, configs)
+
+            results = asyncio.run(scenario())
+            assert len(results) == len(configs)
+            assert all(r.model_version == 1 and not r.cached for r in results)
+            for batch in group_by_batch(configs, results).values():
+                rows = [c for c, _ in batch]
+                direct = model_a.predict(encoder.encode_batch(rows, spec))
+                np.testing.assert_array_equal(
+                    np.array([r.latency_s for _, r in batch]), direct
+                )
+            # Micro-batching happened: one flush per max_batch requests.
+            assert server.stats()["batches"] == len(configs) // max_batch
+            served[max_batch] = [r.latency_s for r in results]
+        np.testing.assert_allclose(served[8], served[1])
 
     def test_repeat_queries_short_circuit(self, configs, model_a):
         server = make_server(model_a)

@@ -19,6 +19,10 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Union
 
+from ..archspace import SPACE_NAMES
+from ..hardware import DEVICE_NAMES
+from ..predictors import list_predictors
+from ..utils import positive_int
 from .config import ESMConfig
 from .loop import ESMLoop
 from .report import ESMRunReport
@@ -84,13 +88,20 @@ _SMOKE_PREDICTOR_PARAMS = {
 }
 
 
-def _smoke_config(seed: int, predictor: str = "mlp") -> ESMConfig:
+def _smoke_config(
+    seed: int,
+    predictor: str = "mlp",
+    *,
+    space: str = "resnet",
+    device: str = "rtx4090",
+    acc_th: float = 80.0,
+) -> ESMConfig:
     """A minutes-scale configuration (reduced protocol, small budgets)."""
     return ESMConfig(
-        space="resnet",
-        device="rtx4090",
+        space=space,
+        device=device,
         predictor=predictor,
-        acc_th=80.0,
+        acc_th=acc_th,
         n_bins=5,
         initial_size=40,
         extension_size=10,
@@ -108,20 +119,28 @@ def main(argv=None) -> int:
         prog="python -m repro.core.experiments",
         description="Balanced-vs-random convergence comparison (Fig. 11).",
     )
-    parser.add_argument("--space", default="resnet")
-    parser.add_argument("--device", default="rtx4090")
+    parser.add_argument("--space", choices=SPACE_NAMES, default="resnet")
+    parser.add_argument("--device", choices=DEVICE_NAMES, default="rtx4090")
     parser.add_argument(
         "--predictor",
+        choices=list_predictors(),
         default="mlp",
         help="predictor registry name; 'as' is the adaptive-switching zoo",
     )
-    parser.add_argument("--acc-th", type=float, default=90.0)
+    parser.add_argument(
+        "--acc-th",
+        type=float,
+        default=None,
+        help="bin-wise accuracy threshold, percent (default: 90, or 80 "
+        "with --smoke)",
+    )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced protocol and budgets: finishes in about a minute",
+        help="reduced protocol and budgets for the chosen space, device "
+        "and threshold: finishes in about a minute",
     )
     parser.add_argument(
         "--out",
@@ -130,16 +149,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        config = _smoke_config(args.seed, predictor=args.predictor)
-    else:
-        config = ESMConfig(
-            space=args.space,
-            device=args.device,
-            predictor=args.predictor,
-            acc_th=args.acc_th,
-            seed=args.seed,
-        )
+    chosen = dict(space=args.space, device=args.device)
+    if args.acc_th is not None:
+        chosen["acc_th"] = args.acc_th
+    try:
+        if args.smoke:
+            config = _smoke_config(args.seed, predictor=args.predictor, **chosen)
+        else:
+            config = ESMConfig(predictor=args.predictor, seed=args.seed, **chosen)
+    except ValueError as exc:  # `ESMConfig`'s own checks, e.g. acc_th range
+        parser.error(str(exc))
 
     out: Optional[Path] = None if args.out is None else Path(args.out)
     if out is None:

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..archspace.config import ArchConfig
 from ..archspace.spaces import SPACE_NAMES, space_by_name
-from ..utils import atomic_write_text, quarantine, run_pooled
+from ..utils import atomic_write_text, positive_int, quarantine, run_pooled
 from .constraints import (
     SearchConstraints,
     add_budget_arguments,
@@ -485,7 +485,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--n-seeds", type=int, default=8)
     parser.add_argument("--seed-base", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     parser.add_argument("--population-size", type=int, default=None)
     parser.add_argument("--generations", type=int, default=None)
     parser.add_argument("--budget", type=int, default=None)

@@ -9,7 +9,7 @@ names to constructors; `load_predictor` is the inverse of any member's
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .boosting import GradientBoostingPredictor
 from .forest import RandomForestPredictor
@@ -103,11 +103,19 @@ def predictor_from_payload(payload: dict) -> PredictorBase:
     return cls.from_payload(payload)
 
 
-def load_predictor(path: Union[str, Path]) -> PredictorBase:
-    """Load a saved predictor of *any* kind (the inverse of ``save``)."""
+def load_predictor(
+    path: Union[str, Path], *, data: Optional[bytes] = None
+) -> PredictorBase:
+    """Load a saved predictor of *any* kind (the inverse of ``save``).
+
+    ``data``, when given, is the file's content already read by the
+    caller, parsed instead of reading ``path`` again (``path`` then only
+    names the file in errors).  A caller that fingerprints those bytes
+    knows exactly what it loaded.
+    """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_bytes() if data is None else data)
     except json.JSONDecodeError as exc:
         raise ValueError(f"predictor file {path} is not valid JSON: {exc}") from exc
     try:

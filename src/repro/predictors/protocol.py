@@ -201,6 +201,9 @@ class PredictorBase:
                 f"predictor payload holds kind {payload.get('kind')!r}, "
                 f"expected {cls.KIND!r}"
             )
+        missing = [f for f in ("hyperparameters", "state") if f not in payload]
+        if missing:
+            raise ValueError(f"predictor payload has no {missing[0]!r} field")
         predictor = cls(**payload["hyperparameters"])
         predictor._set_state(payload["state"])
         return predictor

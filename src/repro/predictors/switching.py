@@ -10,6 +10,23 @@ extension, so the surrogate *family* — not just its weights — adapts as
 the dataset grows: linear models tend to win the small early rounds,
 ensembles the later ones.
 
+**Racing.**  The cross-validation is raced, exactly.  Members run in zoo
+order and every fold that runs is fitted and seeded as in a full CV.
+After each fold a member's lower bound is ``np.mean`` of its completed
+fold losses padded with zeros for the folds not yet run: both metrics
+are non-negative and float rounding is monotone, so the bound never
+exceeds the member's full CV mean.  The member's remaining folds are
+skipped once the bound is strictly greater than the best finite full
+mean of an earlier member, or is NaN; such a member can no longer win
+(a tie keeps running, so ties still go to the earlier member).  The
+winner, and so the refit surrogate, is the one a full CV picks, for
+finite, diverging (NaN/inf) and all-non-finite zoos alike.
+
+``cv_losses_`` records each member's full CV mean, or for an eliminated
+member the bound it was eliminated at, so ``select_winner(cv_losses_,
+zoo) == winner_`` always holds; ``cv_folds_run_`` records how many folds
+each member ran.
+
 `kfold_indices` and `select_winner` are module-level pure functions so the
 property-test suite can pin down their invariants directly.
 """
@@ -117,6 +134,7 @@ class AdaptiveSwitchingPredictor(PredictorBase):
         self.seed = seed
         self.winner_: Optional[str] = None
         self.cv_losses_: Dict[str, float] = {}
+        self.cv_folds_run_: Dict[str, int] = {}
         self._model: Optional[PredictorBase] = None
 
     # ------------------------------------------------------------------ #
@@ -141,12 +159,22 @@ class AdaptiveSwitchingPredictor(PredictorBase):
         folds = kfold_indices(n, k, self.seed)
         metric = _CV_METRICS[self.cv_metric]
         self.cv_losses_ = {}
+        self.cv_folds_run_ = {}
+        best = np.inf  # best finite full-CV mean of the members raced so far
         for name in self.zoo:
-            fold_losses = []
-            for train_idx, val_idx in folds:
+            fold_losses = np.zeros(k)
+            for run, (train_idx, val_idx) in enumerate(folds, start=1):
                 member = self._spawn(name).fit(X[train_idx], y[train_idx])
-                fold_losses.append(metric(y[val_idx], member.predict(X[val_idx])))
-            self.cv_losses_[name] = float(np.mean(fold_losses))
+                fold_losses[run - 1] = metric(
+                    y[val_idx], member.predict(X[val_idx])
+                )
+                bound = float(np.mean(fold_losses))
+                if run < k and not bound <= best:  # cannot win, or NaN
+                    break
+            self.cv_losses_[name] = bound
+            self.cv_folds_run_[name] = run
+            if run == k and bound < best:
+                best = bound
         self.winner_ = select_winner(self.cv_losses_, self.zoo)
         self._model = self._spawn(self.winner_).fit(X, y)
         return self
@@ -185,14 +213,71 @@ class AdaptiveSwitchingPredictor(PredictorBase):
         return {
             "winner": self.winner_,
             "cv_losses": {name: self.cv_losses_[name] for name in self.zoo},
+            "cv_folds_run": {name: self.cv_folds_run_[name] for name in self.zoo},
             "model": self._model.to_payload(),
         }
 
     def _set_state(self, state: dict) -> None:
+        """Restore a saved state, refusing one that contradicts the zoo.
+
+        Every failure is a `ValueError` naming the field path.  A payload
+        without ``cv_folds_run`` (written before CV was raced) loads as a
+        full CV: every member ran ``cv_folds`` folds.
+        """
         from . import predictor_from_payload
 
-        self.winner_ = str(state["winner"])
-        self.cv_losses_ = {
-            str(name): float(loss) for name, loss in state["cv_losses"].items()
-        }
-        self._model = predictor_from_payload(state["model"])
+        if not isinstance(state, dict):
+            raise ValueError("state: expected an object")
+        missing = [f for f in ("winner", "cv_losses", "model") if f not in state]
+        if missing:
+            raise ValueError(f"state.{missing[0]}: missing")
+        winner = state["winner"]
+        if not isinstance(winner, str) or winner not in self.zoo:
+            raise ValueError(
+                f"state.winner: {winner!r} is not a zoo member "
+                f"({', '.join(self.zoo)})"
+            )
+        losses = self._per_member(state["cv_losses"], "cv_losses")
+        try:
+            cv_losses = {name: float(losses[name]) for name in self.zoo}
+        except (TypeError, ValueError):
+            raise ValueError("state.cv_losses: values must be numbers") from None
+        folds_run = state.get("cv_folds_run")
+        if folds_run is None:
+            folds_run = {name: self.cv_folds for name in self.zoo}
+        folds_run = self._per_member(folds_run, "cv_folds_run")
+        for name in self.zoo:
+            run = folds_run[name]
+            if type(run) is not int or not 1 <= run <= self.cv_folds:
+                raise ValueError(
+                    f"state.cv_folds_run.{name}: {run!r} is not a fold "
+                    f"count in 1..{self.cv_folds}"
+                )
+        model = state["model"]
+        kind = model.get("kind") if isinstance(model, dict) else None
+        try:
+            expected = self._spawn(winner).KIND
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"state.winner: {exc.args[0]}") from None
+        if kind != expected:
+            raise ValueError(
+                f"state.model.kind: {kind!r} does not match the winner "
+                f"{winner!r} (kind {expected!r})"
+            )
+        try:
+            self._model = predictor_from_payload(model)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"state.model: {exc}") from None
+        self.winner_ = winner
+        self.cv_losses_ = cv_losses
+        self.cv_folds_run_ = {name: folds_run[name] for name in self.zoo}
+
+    def _per_member(self, value: Any, field: str) -> dict:
+        """``value`` if it is an object keyed by exactly the zoo members."""
+        if not isinstance(value, dict) or set(value) != set(self.zoo):
+            keys = sorted(value) if isinstance(value, dict) else value
+            raise ValueError(
+                f"state.{field}: expected one entry per zoo member "
+                f"{self.zoo}, got {keys!r}"
+            )
+        return value

@@ -18,7 +18,12 @@ its bytes.  Three invariants make hot-swap safe without any lock around
   watch/reload path that picks up freshly retrained surrogates — only
   ever sees the previous complete payload or the new complete payload.
   A trainer crashing mid-save changes nothing: the fingerprint matches,
-  no swap happens.
+  no swap happens.  `load` and `poll` read a file once and fingerprint
+  the very bytes they parse, so a save landing mid-reload is picked up
+  by the next poll.  Bytes that do not load (a torn copy written by a
+  non-atomic ``cp``, a malformed payload) are counted in
+  ``reload_failures``, keep the old model serving, and are not retried
+  until they change.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ def _as_key(key: KeyLike) -> ServeKey:
     return key if isinstance(key, ServeKey) else ServeKey(*key)
 
 
-def _fingerprint(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _fingerprint(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,11 @@ class ModelRegistry:
         self._entries: Dict[ServeKey, ModelEntry] = {}
         self._watched: Dict[ServeKey, Path] = {}
         self._subscribers: List[Callable[[ServeKey, ModelEntry], None]] = []
+        # Per watched key, the fingerprint of the last bytes that failed to
+        # load, so `poll` does not re-parse them every interval.
+        self._rejected: Dict[ServeKey, str] = {}
         self.swaps = 0
+        self.reload_failures = 0
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -140,17 +149,26 @@ class ModelRegistry:
         ``register`` on an existing key *is* a hot-swap: the entry is
         rebuilt with the bumped version and flipped in atomically.
         """
+        path = None if path is None else Path(path)
+        fingerprint = None if path is None else _fingerprint(path.read_bytes())
+        return self._bind(_as_key(key), predictor, path, fingerprint)
+
+    def _bind(
+        self,
+        key: ServeKey,
+        predictor: Predictor,
+        path: Optional[Path],
+        fingerprint: Optional[str],
+    ) -> ModelEntry:
         if not getattr(predictor, "is_fitted", True):
             raise ValueError(f"refusing to register an unfitted predictor for {key}")
-        key = _as_key(key)
         previous = self._entries.get(key)
-        path = None if path is None else Path(path)
         entry = ModelEntry(
             key=key,
             predictor=predictor,
             version=1 if previous is None else previous.version + 1,
             path=path,
-            fingerprint=None if path is None else _fingerprint(path),
+            fingerprint=fingerprint,
         )
         self._entries[key] = entry  # the pointer flip
         if previous is not None:
@@ -180,7 +198,10 @@ class ModelRegistry:
         """
         key = _as_key(key)
         path = Path(path)
-        entry = self.register(key, load_predictor(path), path=path)
+        data = path.read_bytes()
+        entry = self._bind(
+            key, load_predictor(path, data=data), path, _fingerprint(data)
+        )
         if watch:
             self._watched[key] = path
         return entry
@@ -192,19 +213,31 @@ class ModelRegistry:
         """Reload every watched model whose file content changed.
 
         Returns the keys that were actually swapped.  Because model saves
-        are atomic, a changed fingerprint always denotes a complete new
+        are atomic, a changed fingerprint normally denotes a complete new
         payload; an unchanged one (including after a trainer crashed
         mid-save) is a no-op.  A watched file that briefly disappears is
-        skipped — the server keeps answering from the model it has.
+        skipped — the server keeps answering from the model it has.  So is
+        one whose new bytes fail to load: the failure is counted once in
+        ``reload_failures`` and those bytes are not tried again, while the
+        other keys are still polled.  The bytes fingerprinted are the
+        bytes parsed (one read), so a save that lands during a poll is
+        never mistaken for the model already loaded.
         """
         swapped: List[ServeKey] = []
         for key, path in self._watched.items():
             try:
-                fingerprint = _fingerprint(path)
+                data = path.read_bytes()
             except OSError:
                 continue
-            if fingerprint == self._entries[key].fingerprint:
+            fingerprint = _fingerprint(data)
+            if fingerprint in (self._entries[key].fingerprint, self._rejected.get(key)):
                 continue
-            self.register(key, load_predictor(path), path=path)
+            try:
+                predictor = load_predictor(path, data=data)
+            except Exception:  # any unloadable payload: keep the old model
+                self._rejected[key] = fingerprint
+                self.reload_failures += 1
+                continue
+            self._bind(key, predictor, path, fingerprint)
             swapped.append(key)
         return swapped

@@ -267,6 +267,7 @@ class PredictionServer:
             "largest_batch": batcher.largest_batch,
             "pending": batcher.pending_count,
             "swaps": self.registry.swaps,
+            "reload_failures": self.registry.reload_failures,
             "models": self.registry.describe(),
         }
 

@@ -364,6 +364,10 @@ def format_report(report: dict) -> str:
 
 
 def main(argv=None) -> int:
+    from ..hardware import DEVICE_NAMES
+    from ..predictors import list_predictors
+    from ..utils import positive_int
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.transfer.experiments",
         description=(
@@ -374,6 +378,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--devices",
         nargs="+",
+        choices=DEVICE_NAMES,
         default=list(DEFAULT_DEVICES),
         help=f"device registry names (default: {' '.join(DEFAULT_DEVICES)})",
     )
@@ -385,6 +390,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--base",
+        choices=[name for name in list_predictors() if name != "transfer"],
         default="cart",
         help="zoo member used for both the proxy surrogate and the "
         "from-scratch baseline (default: cart)",
@@ -393,7 +399,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--budgets",
         nargs="+",
-        type=int,
+        type=positive_int,
         default=None,
         help="target-device paired-sample budgets (default: per-mode sweep)",
     )

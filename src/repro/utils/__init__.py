@@ -3,6 +3,7 @@ quarantine of corrupt files, and a process pool with a serial fallback."""
 
 from __future__ import annotations
 
+import argparse
 import multiprocessing
 import os
 import tempfile
@@ -13,7 +14,14 @@ from typing import Any, Callable, Hashable, List, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ensure_rng", "pick", "atomic_write_text", "quarantine", "run_pooled"]
+__all__ = [
+    "ensure_rng",
+    "pick",
+    "atomic_write_text",
+    "quarantine",
+    "run_pooled",
+    "positive_int",
+]
 
 
 def ensure_rng(rng: "int | np.random.Generator | None") -> np.random.Generator:
@@ -38,6 +46,21 @@ def pick(rng: np.random.Generator, seq: Sequence):
     round trip (several times cheaper on the sampling and mutation paths).
     """
     return seq[int(rng.integers(len(seq)))]
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts such as ``--workers`` and ``--budgets``.
+
+    A bad value exits with status 2 and a usage error naming the flag,
+    not a traceback from deep inside the run.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:

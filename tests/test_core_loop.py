@@ -283,3 +283,49 @@ class TestFig11Experiment:
         assert main(["--smoke", "--seed", "11", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "balanced" in out and "random" in out
+
+    def test_smoke_is_a_budget_preset_composing_with_the_flags(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.core.experiments as experiments
+
+        seen = []
+
+        def capture(config, run_root, **kwargs):
+            seen.append(config)
+            return {}
+
+        monkeypatch.setattr(experiments, "compare_samplers", capture)
+        argv = ["--smoke", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main([*argv, "--space", "densenet", "--device", "raspberrypi4",
+                     "--acc-th", "70"]) == 0
+        default, chosen = seen
+        assert (default.space, default.device, default.acc_th) == (
+            "resnet", "rtx4090", 80.0
+        )
+        assert (chosen.space, chosen.device, chosen.acc_th) == (
+            "densenet", "raspberrypi4", 70.0
+        )
+        assert chosen.initial_size == default.initial_size == 40
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--space", "nope"], "--space"),
+            (["--device", "nope"], "--device"),
+            (["--predictor", "nope"], "--predictor"),
+            (["--workers", "0"], "--workers"),
+        ],
+    )
+    def test_bad_argument_is_a_usage_error(self, args, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", *args])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_config_check_failure_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", "--acc-th", "150"])
+        assert excinfo.value.code == 2
+        assert "acc_th must be in (0, 100], got 150.0" in capsys.readouterr().err

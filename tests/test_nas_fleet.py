@@ -336,3 +336,11 @@ class TestCLI:
             main(["--smoke", "--max-latency", "-1"])
         assert excinfo.value.code == 2
         assert "argument --max-latency: " in capsys.readouterr().err
+
+    def test_non_positive_workers_is_a_usage_error(self, capsys):
+        from repro.nas.fleet import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "argument --workers: " in capsys.readouterr().err

@@ -7,7 +7,12 @@ takes seconds, so a change to the CART split scan or the MLP optimiser
 that moves a single float bit fails here first.
 
 The digests are sha256 over ``json.dumps(to_payload(), sort_keys=True)``.
-Re-record them only after an *intentional* change to fitted values::
+The ``as`` payload also carries the raced CV's diagnostics (the bound an
+eliminated member was dropped at, the folds each member ran), so its
+fitted winner is locked separately: the nested ``model`` payload digest
+below was recorded before CV was raced and must never move with the
+racing rule.  Re-record the digests only after an *intentional* change to
+fitted values::
 
     PYTHONPATH=src python tests/test_predictor_bitlock.py
 """
@@ -45,12 +50,18 @@ BITLOCK_PREDICTORS = {
 }
 
 EXPECTED_SHA256 = {
-    "as": "193ade20bf52718f86a86aa22d666881222f2cc998b5442ad8c556b3b6d9b1b1",
+    "as": "ceb572026f1f1fd36e8d7531e145bf4319ec36a1384c20611c3cab405e64fc4d",
     "cart": "5730c798933637d233c23a8aa758134605f5f6c84ddc36739b6ab75535892e2f",
     "gb": "847849ecb6885e0ad22f0a99837afcf990a17ea3a19f80979fe1ea57005df4c7",
     "mlp": "f7f1365d1e2764409bde0bd0adceb35478234ce2812e962713ca66def9cc910a",
     "rf": "93fa4b539a16989102f1049155aff0e52929594d242b58300153b63d8724ad2c",
 }
+
+# sha256 of the ``as`` payload's nested winner (``state.model``), as a
+# full, unraced k-fold CV selects and refits it.
+EXPECTED_AS_MODEL_SHA256 = (
+    "49e09b1e934ec00a6f2b8cf5441d2e664f7b0de7be026d9bc600d214d37858fd"
+)
 
 
 def bitlock_data():
@@ -75,9 +86,13 @@ def bitlock_data():
     return dataset.encode("fcc", spec), dataset.latencies
 
 
-def payload_sha256(name, X, y):
-    predictor = get_predictor(name, seed=3, **BITLOCK_PREDICTORS[name]).fit(X, y)
-    blob = json.dumps(predictor.to_payload(), sort_keys=True)
+def bitlock_payload(name, X, y):
+    predictor = get_predictor(name, seed=3, **BITLOCK_PREDICTORS[name])
+    return predictor.fit(X, y).to_payload()
+
+
+def sha256_json(payload):
+    blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -88,10 +103,17 @@ def data():
 
 @pytest.mark.parametrize("name", sorted(BITLOCK_PREDICTORS))
 def test_payload_bytes_are_locked(name, data):
-    assert payload_sha256(name, *data) == EXPECTED_SHA256[name]
+    assert sha256_json(bitlock_payload(name, *data)) == EXPECTED_SHA256[name]
+
+
+def test_as_nested_winner_payload_is_locked(data):
+    model = bitlock_payload("as", *data)["state"]["model"]
+    assert sha256_json(model) == EXPECTED_AS_MODEL_SHA256
 
 
 if __name__ == "__main__":
     X, y = bitlock_data()
     for name in sorted(BITLOCK_PREDICTORS):
-        print(f'    "{name}": "{payload_sha256(name, X, y)}",')
+        print(f'    "{name}": "{sha256_json(bitlock_payload(name, X, y))}",')
+    model = bitlock_payload("as", X, y)["state"]["model"]
+    print(f'    as state.model: "{sha256_json(model)}"')

@@ -128,7 +128,7 @@ class TestRecordedReplies:
         '"stats"': '{"id": "stats", "requests": 0, "cache_hits": 0, '
         '"cache_hit_rate": 0.0, "batches": 0, "items_flushed": 0, '
         '"mean_batch": 0.0, "largest_batch": 0, "pending": 0, "swaps": 0, '
-        '"models": ' + MODELS + "}",
+        '"reload_failures": 0, "models": ' + MODELS + "}",
         "null": '{"id": null, "error": "bad JSON: Expecting property name '
         'enclosed in double quotes: line 1 column 2 (char 1)"}',
         '"nokey"': '{"id": "nokey", "error": "KeyError: \'no model registered '

@@ -1,5 +1,6 @@
 """ModelRegistry: keyed lookup, hot-swap versioning, watch/reload atomicity."""
 
+import asyncio
 import os
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from repro import (
     MLPPredictor,
     ModelRegistry,
+    PredictionServer,
     RidgePredictor,
     ServeKey,
 )
 
 KEY = ServeKey("resnet", "raspberrypi4", "fcc")
+OTHER = ServeKey("densenet", "rtx4090", "fcc")
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +185,127 @@ class TestWatchReload:
         path.unlink()
         assert registry.poll() == []  # keeps answering from the loaded model
         assert registry.get(KEY).version == 1
+
+
+class TestReloadFailures:
+    """A watched file that does not load never stops the other keys."""
+
+    @pytest.fixture()
+    def watched(self, toy, tmp_path):
+        X, y = toy
+        torn, good = tmp_path / "torn.json", tmp_path / "good.json"
+        RidgePredictor().fit(X, y).save(torn)
+        RidgePredictor().fit(X, y).save(good)
+        registry = ModelRegistry()
+        registry.load(KEY, torn, watch=True)  # polled first
+        registry.load(OTHER, good, watch=True)
+        return registry, torn, good
+
+    def test_torn_file_keeps_old_model_and_other_keys_reload(self, toy, watched):
+        X, y = toy
+        registry, torn, good = watched
+        before = registry.get(KEY).predictor.predict(X)
+        torn.write_bytes(torn.read_bytes()[:40])  # a non-atomic cp, cut short
+        retrained = RidgePredictor().fit(X, y * 2)
+        retrained.save(good)
+
+        assert registry.poll() == [OTHER]
+        assert registry.get(OTHER).version == 2
+        np.testing.assert_array_equal(
+            registry.get(OTHER).predictor.predict(X), retrained.predict(X)
+        )
+        assert registry.get(KEY).version == 1
+        np.testing.assert_array_equal(registry.get(KEY).predictor.predict(X), before)
+        assert registry.reload_failures == 1
+
+    def test_the_same_bad_bytes_are_not_retried(self, toy, watched, monkeypatch):
+        X, y = toy
+        registry, torn, _ = watched
+        torn.write_text('{"kind": "ridge"}')  # parses, but is no payload
+        assert registry.poll() == []
+        assert registry.reload_failures == 1
+
+        import repro.serve.registry as registry_module
+
+        def must_not_load(path, **kwargs):
+            raise AssertionError(f"re-parsed unchanged bad bytes of {path}")
+
+        monkeypatch.setattr(registry_module, "load_predictor", must_not_load)
+        assert registry.poll() == []
+        monkeypatch.undo()
+        assert registry.reload_failures == 1
+
+        RidgePredictor().fit(X, y * 3).save(torn)  # fixed: reloads again
+        assert registry.poll() == [KEY]
+        assert registry.get(KEY).version == 2
+
+    def test_a_save_landing_mid_reload_is_loaded_next_poll(
+        self, toy, watched, monkeypatch
+    ):
+        """The bytes a poll fingerprints are the bytes it parses: a save
+        (here torn, then good) that lands while a reload is parsing is
+        neither taken for the model just loaded nor rejected in its
+        place, and the next polls pick it up."""
+        import repro.serve.registry as registry_module
+
+        X, y = toy
+        registry, torn, _ = watched
+        second = RidgePredictor().fit(X, y * 2)
+        third = RidgePredictor().fit(X, y * 3)
+        second.save(torn)
+        real_load = registry_module.load_predictor
+
+        def load_then_overwrite(path, **kwargs):
+            predictor = real_load(path, **kwargs)
+            path.write_bytes(path.read_bytes()[:40])  # a cp cut short
+            return predictor
+
+        monkeypatch.setattr(registry_module, "load_predictor", load_then_overwrite)
+        assert registry.poll() == [KEY]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            registry.get(KEY).predictor.predict(X), second.predict(X)
+        )
+        assert registry.reload_failures == 0
+
+        assert registry.poll() == []  # the torn bytes: rejected, not served
+        assert registry.reload_failures == 1
+        third.save(torn)
+        assert registry.poll() == [KEY]
+        assert registry.get(KEY).version == 3
+        np.testing.assert_array_equal(
+            registry.get(KEY).predictor.predict(X), third.predict(X)
+        )
+
+    def test_a_vanished_file_is_skipped_not_rejected(self, toy, watched):
+        X, y = toy
+        registry, torn, _ = watched
+        saved = torn.read_bytes()
+        torn.unlink()
+        assert registry.poll() == []
+        assert registry.reload_failures == 0
+        torn.write_bytes(saved)  # back with the bytes already served
+        assert registry.poll() == []
+        RidgePredictor().fit(X, y * 2).save(torn)
+        assert registry.poll() == [KEY]
+        assert registry.reload_failures == 0
+
+    def test_polling_task_survives_and_counts_the_failure(self, toy, watched):
+        X, y = toy
+        registry, torn, good = watched
+        server = PredictionServer(registry)
+
+        async def scenario():
+            task = server.start_polling(0.005)
+            torn.write_text("{")
+            await asyncio.sleep(0.05)
+            RidgePredictor().fit(X, y * 2).save(good)
+            await asyncio.sleep(0.05)
+            alive = not task.done()
+            task.cancel()
+            return alive
+
+        assert asyncio.run(scenario())
+        assert registry.get(OTHER).version == 2
+        assert registry.get(KEY).version == 1
+        assert server.stats()["reload_failures"] == 1

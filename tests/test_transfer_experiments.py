@@ -113,3 +113,23 @@ class TestMain:
         printed = capsys.readouterr().out
         assert "half-budget wins" in printed
         assert str(out_a) in printed
+
+
+class TestArguments:
+    """Bad arguments exit 2 with a usage error naming the flag."""
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--budgets", "-3"], "--budgets"),
+            (["--budgets", "5", "0"], "--budgets"),
+            (["--base", "nope"], "--base"),
+            (["--base", "transfer"], "--base"),
+            (["--devices", "rtx4090", "nope"], "--devices"),
+        ],
+    )
+    def test_bad_argument_is_a_usage_error(self, args, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", *args])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err

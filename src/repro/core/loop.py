@@ -47,6 +47,7 @@ from ..predictors import get_predictor
 from ..profiling.campaign import CampaignRunner
 from ..profiling.protocol import MeasurementProtocol
 from ..profiling.reference import ReferenceSet
+from ..utils import load_json
 from .config import ESMConfig
 from .extension import extension_plan
 from .report import ESMRunReport, IterationRecord
@@ -169,8 +170,6 @@ class ESMLoop:
         exist to catch.  The proxy *device* is expected to differ; that is
         the point.
         """
-        import json
-
         predictor_path = proxy_dir / PREDICTOR_FILENAME
         if not predictor_path.exists():
             raise ValueError(
@@ -191,13 +190,7 @@ class ESMLoop:
                         f"{field}={ours!r}; the frozen proxy's feature "
                         "space must match"
                     )
-        try:
-            return json.loads(predictor_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"transfer_from predictor file {predictor_path} is not "
-                f"valid JSON: {exc}"
-            ) from exc
+        return load_json(predictor_path, dict, what="transfer_from predictor file")
 
     # ------------------------------------------------------------------ #
     # Pieces

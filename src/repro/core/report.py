@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..data.dataset import DatasetError
-from ..utils import atomic_write_text
+from ..utils import atomic_write_text, load_json, require_header
 
 __all__ = ["IterationRecord", "ESMRunReport", "ESM_REPORT_FORMAT_VERSION"]
 
@@ -146,16 +146,9 @@ class ESMRunReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ESMRunReport":
-        version = d.get("format_version")
-        if version != ESM_REPORT_FORMAT_VERSION:
-            raise DatasetError(
-                f"unsupported report format_version {version!r} "
-                f"(expected {ESM_REPORT_FORMAT_VERSION})"
-            )
-        if d.get("kind") != "esm_run_report":
-            raise DatasetError(
-                f"expected kind 'esm_run_report', got {d.get('kind')!r}"
-            )
+        require_header(
+            d, "report", ESM_REPORT_FORMAT_VERSION, "esm_run_report", DatasetError
+        )
         return cls(
             config=dict(d["config"]),
             bins=[(int(lo), int(hi)) for lo, hi in d["bins"]],
@@ -169,24 +162,4 @@ class ESMRunReport:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ESMRunReport":
-        path = Path(path)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise DatasetError(f"report file {path} does not exist") from None
-        except OSError as exc:
-            raise DatasetError(f"report file {path} is unreadable: {exc}") from exc
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(
-                f"report file {path} is not valid JSON: {exc}"
-            ) from exc
-        try:
-            return cls.from_dict(payload)
-        except DatasetError as exc:
-            raise DatasetError(f"report file {path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(
-                f"report file {path} violates the esm_run_report schema: {exc!r}"
-            ) from exc
+        return load_json(path, cls.from_dict, error=DatasetError, what="report file")

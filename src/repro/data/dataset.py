@@ -33,7 +33,7 @@ import numpy as np
 from ..archspace.config import ArchConfig
 from ..archspace.spaces import SpaceSpec
 from ..encodings import Encoding, encoder_for
-from ..utils import atomic_write_text, ensure_rng
+from ..utils import atomic_write_text, ensure_rng, load_json, require_header
 
 __all__ = ["LatencySample", "LatencyDataset", "DatasetError", "FORMAT_VERSION"]
 
@@ -167,12 +167,7 @@ class LatencyDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatencyDataset":
-        version = d.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported dataset format_version {version!r} "
-                f"(expected {FORMAT_VERSION})"
-            )
+        require_header(d, "dataset", FORMAT_VERSION)
         samples = []
         for index, raw in enumerate(d["samples"]):
             try:
@@ -192,31 +187,4 @@ class LatencyDataset:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "LatencyDataset":
         """Load from ``path``; every failure mode raises `DatasetError`."""
-        path = Path(path)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise DatasetError(f"dataset file {path} does not exist") from None
-        except OSError as exc:
-            raise DatasetError(f"dataset file {path} is unreadable: {exc}") from exc
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(
-                f"dataset file {path} is not valid JSON "
-                f"(truncated or corrupted write?): {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise DatasetError(
-                f"dataset file {path} holds {type(payload).__name__}, "
-                "expected a JSON object"
-            )
-        try:
-            return cls.from_dict(payload)
-        except DatasetError as exc:
-            raise DatasetError(f"dataset file {path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(
-                f"dataset file {path} violates the format_version "
-                f"{FORMAT_VERSION} schema: {exc!r}"
-            ) from exc
+        return load_json(path, cls.from_dict, error=DatasetError, what="dataset file")

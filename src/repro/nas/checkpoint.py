@@ -18,8 +18,10 @@ measurement campaigns:
 
 Torn or corrupted files — a step that fails to parse, fails its schema,
 or disagrees with its filename — are renamed to ``*.corrupt`` together
-with everything after them, and the search re-executes from the last good
-step.  Because every stochastic draw in the drivers flows from
+with everything after them and every other ``step_*.json`` outside the
+kept prefix, and the search re-executes from the last good step.  The
+tear policy is quarantine: a torn manifest takes every step file with
+it.  Because every stochastic draw in the drivers flows from
 ``(seed, slot, step)`` streams, the re-executed steps reproduce the
 original bytes exactly, which is what the kill/resume byte-identity tests
 assert.
@@ -31,7 +33,16 @@ import json
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Union
 
-from ..utils import atomic_write_text, quarantine
+from ..utils import (
+    atomic_write_text,
+    quarantine,
+    quarantine_with,
+    read_json_object,
+    read_manifest,
+    require,
+    require_header,
+    write_manifest,
+)
 
 __all__ = ["SearchCheckpointError", "CheckpointState", "SearchCheckpoint"]
 
@@ -66,42 +77,30 @@ class SearchCheckpoint:
     # Manifest
     # ------------------------------------------------------------------ #
 
-    def _manifest_path(self) -> Path:
-        return self.root / _MANIFEST
-
     def _init_manifest(self) -> None:
-        path = self._manifest_path()
-        if path.exists():
-            try:
-                manifest = json.loads(path.read_text())
-                stored = manifest["fingerprint"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                # Torn manifest: nothing in this directory can be trusted
-                # to belong to *this* search — quarantine everything and
-                # start over (the steps are deterministic to rebuild).
-                quarantine(path)
-                for step_path in self._step_paths():
-                    quarantine(step_path)
-            else:
-                if stored != self.fingerprint:
-                    raise SearchCheckpointError(
-                        f"checkpoint directory {self.root} belongs to a "
-                        "different search (fingerprint mismatch); refusing "
-                        "to resume from it"
-                    )
-                return
-        atomic_write_text(
+        # A torn manifest leaves nothing in this directory that can be
+        # trusted to belong to *this* search: its steps go with it, and
+        # they are deterministic to rebuild.
+        path = self.root / _MANIFEST
+        manifest = read_manifest(
             path,
-            json.dumps(
+            policy=quarantine_with(self._step_paths),
+            fingerprint=self.fingerprint,
+            foreign=SearchCheckpointError(
+                f"checkpoint directory {self.root} belongs to a different "
+                "search (fingerprint mismatch); refusing to resume from it"
+            ),
+        )
+        if manifest is None:
+            write_manifest(
+                path,
                 {
                     "format_version": CHECKPOINT_FORMAT_VERSION,
                     "kind": "search_checkpoint",
                     "driver": self.driver,
                     "fingerprint": self.fingerprint,
                 },
-                sort_keys=True,
-            ),
-        )
+            )
 
     # ------------------------------------------------------------------ #
     # Steps
@@ -133,21 +132,13 @@ class SearchCheckpoint:
 
     def _read_step(self, step: int) -> Optional[dict]:
         """Parse + validate one step file; ``None`` when absent/corrupt."""
-        path = self._step_path(step)
-        if not path.exists():
-            return None
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
+            payload = read_json_object(self._step_path(step))
+            require_header(payload, "step", CHECKPOINT_FORMAT_VERSION, "search_step")
+            require(payload, "step", {"evaluated": list, "population": list})
+        except (FileNotFoundError, ValueError):
             return None
-        if (
-            not isinstance(payload, dict)
-            or set(payload) != _STEP_KEYS
-            or payload["kind"] != "search_step"
-            or payload["step"] != step
-            or not isinstance(payload["evaluated"], list)
-            or not isinstance(payload["population"], list)
-        ):
+        if set(payload) != _STEP_KEYS or payload["step"] != step:
             return None
         return payload
 
@@ -160,19 +151,16 @@ class SearchCheckpoint:
         evaluated: List[dict] = []
         population: List[dict] = []
         last = -1
-        step = 0
-        while True:
-            payload = self._read_step(step)
-            if payload is None:
-                break
+        while (payload := self._read_step(last + 1)) is not None:
             evaluated.extend(payload["evaluated"])
             population = payload["population"]
-            last = step
-            step += 1
+            last += 1
         # Everything at or past the first gap is causally downstream of a
-        # missing/torn step: quarantine it so the rerun cannot collide.
+        # missing/torn step, and a step file outside the prefix's names is
+        # no step at all: quarantine both so the rerun cannot collide.
+        kept = {self._step_path(s).name for s in range(last + 1)}
         for path in self._step_paths():
-            if int(path.stem.split("_")[1]) > last:
+            if path.name not in kept:
                 quarantine(path)
         if last < 0:
             return None

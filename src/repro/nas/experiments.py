@@ -462,9 +462,7 @@ def main(argv=None) -> int:
     constraints = constraints_from_args(args, parser)
     warm_start = None
     if args.warm_start is not None:
-        warm_start = SearchResult.from_dict(
-            json.loads(Path(args.warm_start).read_text(encoding="utf-8"))
-        )
+        warm_start = SearchResult.load(args.warm_start)
 
     spaces = args.spaces or (["resnet"] if args.smoke else list(SPACE_NAMES))
     kwargs = dict(

@@ -16,8 +16,10 @@ atomically to ``member_<seed>/result.json``; a killed fleet resumes
 completed members from their cached results, partially-run members from
 their generation checkpoints, and produces a byte-identical
 `FleetResult` JSON — asserted by the fault tests in
-``tests/test_nas_fleet.py``.  A torn fleet manifest sets every member
-result aside, since nothing then ties them to this fleet.
+``tests/test_nas_fleet.py``.  The tear policy is quarantine: a torn fleet
+manifest sets every member result aside, since nothing then ties them to
+this fleet, and a member result that does not parse as its seed's
+`SearchResult` is set aside and recomputed.
 
 CLI::
 
@@ -27,7 +29,6 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -38,7 +39,10 @@ import numpy as np
 
 from ..archspace.config import ArchConfig
 from ..archspace.spaces import SPACE_NAMES, space_by_name
-from ..utils import atomic_write_text, positive_int, quarantine, run_pooled
+from ..utils import atomic_write_text, load_json, positive_int, quarantine
+from ..utils import fingerprint as fingerprint_of
+from ..utils import quarantine_with, read_manifest, require_degradations, run_pooled
+from ..utils import write_manifest
 from .constraints import (
     SearchConstraints,
     add_budget_arguments,
@@ -264,9 +268,7 @@ class SearchFleet:
             ),
             "warm_start": [c.to_dict() for c in self.warm_configs],
         }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
+        return fingerprint_of(payload)
 
     def _member_dir(self, seed: int) -> Optional[Path]:
         if self.fleet_dir is None:
@@ -291,77 +293,60 @@ class SearchFleet:
 
     # ------------------------------- manifest -------------------------- #
 
-    def _manifest_path(self) -> Path:
-        return self.fleet_dir / _MANIFEST
-
     def _load_or_init_manifest(self) -> Optional[dict]:
         if self.fleet_dir is None:
             return None
         self.fleet_dir.mkdir(parents=True, exist_ok=True)
-        path = self._manifest_path()
-        if path.exists():
-            try:
-                manifest = json.loads(path.read_text())
-                stored = manifest["fingerprint"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                # Torn manifest: nothing says the member results belong to
-                # *this* fleet, so set them aside with it.  Each member then
-                # replays from its own fingerprinted checkpoint, which a
-                # different fleet's search refuses.
-                quarantine(path)
-                for member_result in sorted(
-                    self.fleet_dir.glob("member_*/result.json")
-                ):
-                    quarantine(member_result)
-            else:
-                if stored != self.fingerprint():
-                    raise FleetError(
-                        f"fleet directory {self.fleet_dir} belongs to a "
-                        "different fleet (fingerprint mismatch); refusing "
-                        "to mix member results"
-                    )
-                manifest.setdefault("degradations", [])
-                return manifest
-        manifest = {
-            "format_version": FLEET_RESULT_FORMAT_VERSION,
-            "kind": "search_fleet_manifest",
-            "fingerprint": self.fingerprint(),
-            "driver": self.driver,
-            "seeds": self.seeds,
-            "degradations": [],
-        }
-        self._save_manifest(manifest)
-        return manifest
-
-    def _save_manifest(self, manifest: dict) -> None:
-        atomic_write_text(
-            self._manifest_path(), json.dumps(manifest, sort_keys=True)
+        # A torn manifest leaves nothing to say the member results belong
+        # to *this* fleet, so they are set aside with it.  Each member
+        # then replays from its own fingerprinted checkpoint, which a
+        # different fleet's search refuses.
+        path = self.fleet_dir / _MANIFEST
+        fingerprint = self.fingerprint()
+        manifest = read_manifest(
+            path,
+            policy=quarantine_with(
+                lambda: sorted(self.fleet_dir.glob("member_*/result.json"))
+            ),
+            schema=require_degradations,
+            fingerprint=fingerprint,
+            foreign=FleetError(
+                f"fleet directory {self.fleet_dir} belongs to a different "
+                "fleet (fingerprint mismatch); refusing to mix member results"
+            ),
         )
+        if manifest is None:
+            manifest = {
+                "format_version": FLEET_RESULT_FORMAT_VERSION,
+                "kind": "search_fleet_manifest",
+                "fingerprint": fingerprint,
+                "driver": self.driver,
+                "seeds": self.seeds,
+                "degradations": [],
+            }
+            write_manifest(path, manifest)
+        return manifest
 
     # ------------------------------- members --------------------------- #
 
-    def _load_cached_member(self, seed: int) -> Optional[dict]:
-        """A previously committed member result, if intact."""
-        member_dir = self._member_dir(seed)
-        if member_dir is None:
+    def _load_cached_member(self, seed: int) -> Optional[SearchResult]:
+        """A previously committed member result, if it parses as this
+        seed's `SearchResult`.  Anything else is torn or foreign: it is
+        quarantined and recomputed (the member's own generation
+        checkpoints make the rerun cheap)."""
+        if self.fleet_dir is None:
             return None
-        path = member_dir / "result.json"
+        path = self._member_dir(seed) / "result.json"
         if not path.exists():
             return None
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("kind") != "search_result"
-            or payload.get("seed") != seed
-        ):
-            # Torn or foreign: quarantine and recompute (the member's own
-            # generation checkpoints make the rerun cheap).
+            result = load_json(path, SearchResult.from_dict, what="member result")
+        except ValueError:
+            result = None
+        if result is None or result.seed != seed:
             quarantine(path)
             return None
-        return payload
+        return result
 
     def _commit_member(self, seed: int, payload: dict) -> None:
         member_dir = self._member_dir(seed)
@@ -386,18 +371,20 @@ class SearchFleet:
         degradations: List[dict] = list(
             manifest["degradations"] if manifest is not None else []
         )
-        payloads: Dict[int, dict] = {}
+        results: Dict[int, SearchResult] = {}
         for seed in self.seeds:
             cached = self._load_cached_member(seed)
             if cached is not None:
-                payloads[seed] = cached
+                results[seed] = cached
 
         def commit(seed: int, payload: dict) -> None:
-            payloads[seed] = payload
+            # Parsed from its payload like a cached member, so both are
+            # bit-for-bit the same kind of object.
+            results[seed] = SearchResult.from_dict(payload)
             self._commit_member(seed, payload)
 
         new_degradations = run_pooled(
-            [s for s in self.seeds if s not in payloads],
+            [s for s in self.seeds if s not in results],
             self._task,
             _run_member,
             lambda seed: _run_member(self._task(seed)),
@@ -409,13 +396,9 @@ class SearchFleet:
             degradations.extend(new_degradations)
             if manifest is not None:
                 manifest["degradations"].extend(new_degradations)
-                self._save_manifest(manifest)
+                write_manifest(self.fleet_dir / _MANIFEST, manifest)
 
-        # Normalise through the JSON round trip so a cached member and a
-        # freshly computed one are bit-for-bit the same kind of object.
-        results = {
-            seed: SearchResult.from_dict(payloads[seed]) for seed in self.seeds
-        }
+        results = {seed: results[seed] for seed in self.seeds}  # not completion order
         reference = self._reference_point(results)
         return FleetResult(
             driver=self.driver,
@@ -527,9 +510,7 @@ def main(argv=None) -> int:
 
     warm_start = None
     if args.warm_start is not None:
-        warm_start = SearchResult.from_dict(
-            json.loads(Path(args.warm_start).read_text())
-        )
+        warm_start = SearchResult.load(args.warm_start)
 
     fleet = SearchFleet(
         spec,

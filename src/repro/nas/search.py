@@ -37,7 +37,6 @@ Three deployment-grade capabilities ride on that determinism:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +48,8 @@ from ..archspace.config import ArchConfig
 from ..archspace.ops import crossover, mutate
 from ..archspace.sampling import RandomSampler
 from ..archspace.spaces import SpaceSpec
+from ..utils import fingerprint as fingerprint_of
+from ..utils import load_json, require_header
 from .checkpoint import SearchCheckpoint
 from .constraints import SearchConstraints
 from .pareto import (
@@ -162,6 +163,9 @@ class SearchResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchResult":
+        require_header(
+            d, "search result", SEARCH_RESULT_FORMAT_VERSION, "search_result"
+        )
         constraints = (
             None
             if d.get("constraints") is None
@@ -175,6 +179,11 @@ class SearchResult:
             seed=d.get("seed"),
             constraints=constraints,
         )
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "SearchResult":
+        """Read a `to_json` file, e.g. a warm start saved by an earlier run."""
+        return load_json(path, cls.from_dict, what="search result file")
 
 
 def _resolve_warm_start(warm_start: WarmStart, spec: SpaceSpec) -> List[ArchConfig]:
@@ -293,10 +302,7 @@ class _SearchBase:
         }
 
     def fingerprint(self) -> str:
-        digest = hashlib.sha256(
-            json.dumps(self._fingerprint_payload(), sort_keys=True).encode()
-        )
-        return digest.hexdigest()
+        return fingerprint_of(self._fingerprint_payload())
 
     def _checkpoint_store(self) -> Optional[SearchCheckpoint]:
         if self.checkpoint_dir is None:

@@ -7,10 +7,10 @@ names to constructors; `load_predictor` is the inverse of any member's
 ``save``, dispatching on the payload's ``kind``.
 """
 
-import json
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
+from ..utils import load_json, require
 from .boosting import GradientBoostingPredictor
 from .forest import RandomForestPredictor
 from .linear import RidgePredictor
@@ -93,6 +93,7 @@ def list_predictors() -> Tuple[str, ...]:
 
 def predictor_from_payload(payload: dict) -> PredictorBase:
     """Reconstruct any zoo member from its ``to_payload`` dict."""
+    require(payload, "predictor payload", {})
     kind = payload.get("kind")
     try:
         cls = _KINDS[kind]
@@ -113,15 +114,7 @@ def load_predictor(
     names the file in errors).  A caller that fingerprints those bytes
     knows exactly what it loaded.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_bytes() if data is None else data)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"predictor file {path} is not valid JSON: {exc}") from exc
-    try:
-        return predictor_from_payload(payload)
-    except ValueError as exc:
-        raise ValueError(f"predictor file {path}: {exc}") from None
+    return load_json(path, predictor_from_payload, what="predictor file", data=data)
 
 
 # Imported last: `repro.transfer.predictor` subclasses `PredictorBase`

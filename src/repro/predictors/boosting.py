@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..utils import NUMBER
 from .protocol import PredictorBase, validate_fit_inputs
 from .tree import _RegressionTree, _validate_tree_params
 
@@ -24,6 +25,7 @@ class GradientBoostingPredictor(PredictorBase):
     """Least-squares gradient boosting with shallow CART base learners."""
 
     KIND = "gb"
+    STATE_FIELDS = {"init": NUMBER, "trees": list}
 
     def __init__(
         self,

@@ -23,6 +23,7 @@ class RandomForestPredictor(PredictorBase):
     """Bootstrap-aggregated regression trees with feature subsampling."""
 
     KIND = "rf"
+    STATE_FIELDS = {"trees": list, "features": list}
 
     def __init__(
         self,

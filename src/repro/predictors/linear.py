@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..utils import NUMBER
 from .protocol import PredictorBase, validate_fit_inputs
 
 __all__ = ["RidgePredictor"]
@@ -22,6 +23,7 @@ class RidgePredictor(PredictorBase):
     """Closed-form ridge regression on z-scored features."""
 
     KIND = "ridge"
+    STATE_FIELDS = dict(x_mean=list, x_std=list, coef=list, intercept=NUMBER)
 
     def __init__(self, alpha: float = 1e-2, seed: int = 0):
         # ``seed`` is accepted for protocol uniformity (the fit is exact

@@ -24,6 +24,7 @@ class LookupTableSurrogate(PredictorBase):
     """Least-squares additive table over count features (e.g. FCC vectors)."""
 
     KIND = "lut"
+    STATE_FIELDS = {"table": list, "bias_coef": (list, type(None))}
 
     def __init__(self, bias_correction: bool = False):
         self.bias_correction = bias_correction
@@ -66,5 +67,5 @@ class LookupTableSurrogate(PredictorBase):
 
     def _set_state(self, state: dict) -> None:
         self.table_ = np.asarray(state["table"], dtype=float)
-        bias = state.get("bias_coef")
+        bias = state["bias_coef"]
         self.bias_coef_ = None if bias is None else np.asarray(bias, dtype=float)

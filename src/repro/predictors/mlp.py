@@ -24,6 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..utils import NUMBER
 from .protocol import PREDICTOR_FORMAT_VERSION, PredictorBase, validate_fit_inputs
 
 __all__ = ["MLPPredictor", "MLP_FORMAT_VERSION"]
@@ -37,6 +38,10 @@ class MLPPredictor(PredictorBase):
     """Seeded numpy MLP: input -> 64 -> 64 -> 1 with ReLU."""
 
     KIND = "mlp"
+    STATE_FIELDS = dict(
+        x_mean=list, x_std=list, y_scale=NUMBER, weights=list, biases=list,
+        loss_history=list,
+    )
 
     def __init__(
         self,

@@ -17,8 +17,10 @@ runs every registered implementation against it:
 `PredictorBase` implements the shared parts once: hyperparameter
 introspection, the versioned ``{format_version, kind, hyperparameters,
 state}`` payload, atomic writes, and the fitted-state guard.  A concrete
-predictor only supplies ``KIND``, ``fit``, ``predict``, and the
-``_get_state`` / ``_set_state`` pair describing its fitted arrays.
+predictor only supplies ``KIND``, ``fit``, ``predict``, the
+``_get_state`` / ``_set_state`` pair describing its fitted arrays, and
+the ``STATE_FIELDS`` that pair needs, so a torn payload is refused with a
+`ValueError` naming the field before ``_set_state`` runs.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 import inspect
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Protocol, Union, runtime_checkable
+from typing import TYPE_CHECKING, Any, Dict, List, Protocol, Union, runtime_checkable
 
 import numpy as np
 
-from ..utils import atomic_write_text
+from ..utils import atomic_write_text, load_json, require, require_header
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..archspace.spaces import SpaceSpec
@@ -88,6 +90,9 @@ class PredictorBase:
 
     KIND: str = ""
 
+    # Each required ``state`` field and its JSON type (for `require`).
+    STATE_FIELDS: Dict[str, Any] = {}
+
     # Training feature width, recorded by `validate_fit_inputs(..., owner=self)`.
     # ``None`` means unknown (e.g. a predictor restored from disk), in which
     # case the width check is skipped rather than guessed at.
@@ -130,12 +135,15 @@ class PredictorBase:
         params of any predictor — current or future — round-trip through
         ``type(self)(**self.get_params())`` and through JSON.
         """
-        names = [
+        return {name: getattr(self, name) for name in self._param_names()}
+
+    @classmethod
+    def _param_names(cls) -> List[str]:
+        return [
             p.name
-            for p in inspect.signature(type(self).__init__).parameters.values()
+            for p in inspect.signature(cls.__init__).parameters.values()
             if p.name != "self" and p.kind is not inspect.Parameter.VAR_KEYWORD
         ]
-        return {name: getattr(self, name) for name in names}
 
     # ------------------------------------------------------------------ #
     # Convenience entry points shared by the whole zoo
@@ -190,21 +198,25 @@ class PredictorBase:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PredictorBase":
-        version = payload.get("format_version")
-        if version != PREDICTOR_FORMAT_VERSION:
-            raise ValueError(
-                f"predictor payload has format_version {version!r} "
-                f"(expected {PREDICTOR_FORMAT_VERSION})"
-            )
-        if payload.get("kind") != cls.KIND:
-            raise ValueError(
-                f"predictor payload holds kind {payload.get('kind')!r}, "
-                f"expected {cls.KIND!r}"
-            )
+        """Rebuild a predictor from `to_payload`'s dict.
+
+        Every malformed payload is a `ValueError`; one with a bad field
+        names its path (``hyperparameters.<name>``, ``state.<field>``).
+        """
+        require(payload, "predictor payload", {})
+        require_header(payload, "predictor payload", PREDICTOR_FORMAT_VERSION, cls.KIND)
         missing = [f for f in ("hyperparameters", "state") if f not in payload]
         if missing:
             raise ValueError(f"predictor payload has no {missing[0]!r} field")
-        predictor = cls(**payload["hyperparameters"])
+        hyperparameters = payload["hyperparameters"]
+        require(hyperparameters, "hyperparameters", {})
+        unknown = sorted(set(hyperparameters) - set(cls._param_names()))
+        if unknown:
+            raise ValueError(
+                f"hyperparameters.{unknown[0]}: not a {cls.KIND!r} hyperparameter"
+            )
+        require(payload["state"], "state", cls.STATE_FIELDS)
+        predictor = cls(**hyperparameters)
         predictor._set_state(payload["state"])
         return predictor
 
@@ -224,14 +236,4 @@ class PredictorBase:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PredictorBase":
         """Restore a predictor saved by `save`; predictions are identical."""
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"predictor file {path} is not valid JSON: {exc}"
-            ) from exc
-        try:
-            return cls.from_payload(payload)
-        except ValueError as exc:
-            raise ValueError(f"predictor file {path}: {exc}") from None
+        return load_json(path, cls.from_payload, what="predictor file")

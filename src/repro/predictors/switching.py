@@ -96,6 +96,8 @@ class AdaptiveSwitchingPredictor(PredictorBase):
     """Meta-predictor delegating to the CV winner of its zoo."""
 
     KIND = "as"
+    # Present-only: `_set_state` checks each value against the zoo.
+    STATE_FIELDS = {"winner": object, "cv_losses": object, "model": object}
 
     def __init__(
         self,
@@ -226,11 +228,6 @@ class AdaptiveSwitchingPredictor(PredictorBase):
         """
         from . import predictor_from_payload
 
-        if not isinstance(state, dict):
-            raise ValueError("state: expected an object")
-        missing = [f for f in ("winner", "cv_losses", "model") if f not in state]
-        if missing:
-            raise ValueError(f"state.{missing[0]}: missing")
         winner = state["winner"]
         if not isinstance(winner, str) or winner not in self.zoo:
             raise ValueError(

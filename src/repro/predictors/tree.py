@@ -208,6 +208,7 @@ class CARTPredictor(PredictorBase):
     """A single variance-reduction regression tree."""
 
     KIND = "cart"
+    STATE_FIELDS = {"tree": dict}
 
     def __init__(
         self,

@@ -28,8 +28,6 @@ sequential run because no sample ever depends on cross-batch state.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -39,6 +37,7 @@ import numpy as np
 from ..archspace.config import ArchConfig
 from ..data.dataset import DatasetError, LatencyDataset, LatencySample
 from ..hardware.errors import MeasurementError
+from ..utils import fingerprint as fingerprint_of
 from ..utils import quarantine, run_pooled
 from .protocol import MeasurementProtocol
 from .reference import ReferenceSet
@@ -319,10 +318,7 @@ class CampaignRunner:
             "max_transient_retries": self.max_transient_retries,
             "device": self.device_name,
         }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        )
-        return digest.hexdigest()
+        return fingerprint_of(payload)
 
     # ------------------------------------------------------------------ #
     # Measurement primitives
@@ -367,10 +363,10 @@ class CampaignRunner:
     # Manifest plumbing
     # ------------------------------------------------------------------ #
 
-    def _fresh_manifest(self) -> dict:
+    def _fresh_manifest(self, fingerprint: str) -> dict:
         return {
             "manifest_version": MANIFEST_VERSION,
-            "fingerprint": self.fingerprint(),
+            "fingerprint": fingerprint,
             "device": self.device_name,
             "seed": self.seed,
             "n_configs": len(self.configs),
@@ -384,20 +380,21 @@ class CampaignRunner:
         }
 
     def _load_or_init_manifest(self) -> dict:
-        manifest = self.store.load_manifest()
-        if manifest is None:
-            self.store.ensure_layout()
-            manifest = self._fresh_manifest()
-            if not self.references.enrolled:
-                self._enroll_references()
-            manifest["references"] = self.references.to_dict()
-            self.store.save_manifest(manifest)
-            return manifest
-        if manifest.get("fingerprint") != self.fingerprint():
-            raise CampaignError(
+        fingerprint = self.fingerprint()
+        manifest = self.store.load_manifest(
+            fingerprint,
+            CampaignError(
                 f"campaign directory {self.store.root} belongs to a different "
                 "campaign (fingerprint mismatch); refusing to mix shards"
-            )
+            ),
+        )
+        if manifest is None:
+            self.store.ensure_layout()
+            if not self.references.enrolled:
+                self._enroll_references()
+            manifest = self._fresh_manifest(fingerprint)
+            self.store.save_manifest(manifest)
+            return manifest
         stored = ReferenceSet.from_dict(manifest["references"])
         if not stored.enrolled:
             # Crash between mkdir and enrollment: enroll now.

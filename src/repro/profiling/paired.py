@@ -32,7 +32,7 @@ import numpy as np
 from ..archspace.config import ArchConfig
 from ..archspace.spaces import SpaceSpec
 from ..data.dataset import LatencyDataset, LatencySample
-from ..utils import atomic_write_text
+from ..utils import atomic_write_text, load_json, require_header
 from .protocol import MeasurementProtocol
 from .reference import ReferenceSet
 
@@ -149,16 +149,7 @@ class PairedMeasurementSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PairedMeasurementSet":
-        version = d.get("format_version")
-        if version != PAIRED_FORMAT_VERSION:
-            raise ValueError(
-                f"paired payload has format_version {version!r} "
-                f"(expected {PAIRED_FORMAT_VERSION})"
-            )
-        if d.get("kind") != _KIND:
-            raise ValueError(
-                f"payload holds kind {d.get('kind')!r}, expected {_KIND!r}"
-            )
+        require_header(d, "paired payload", PAIRED_FORMAT_VERSION, _KIND)
         return cls(
             configs=tuple(ArchConfig.from_dict(c) for c in d["configs"]),
             proxy_device=str(d["proxy_device"]),
@@ -182,19 +173,7 @@ class PairedMeasurementSet:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PairedMeasurementSet":
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ValueError(f"paired file {path} does not exist") from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"paired file {path} is not valid JSON: {exc}"
-            ) from exc
-        try:
-            return cls.from_dict(payload)
-        except ValueError as exc:
-            raise ValueError(f"paired file {path}: {exc}") from None
+        return load_json(path, cls.from_dict, what="paired file")
 
 
 def _as_device(device, seed: int):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
-from ..utils import atomic_write_text
+from ..data.dataset import DatasetError
+from ..utils import NUMBER, atomic_write_text, load_json
 
 __all__ = ["AttemptRecord", "BatchRecord", "CampaignReport"]
 
@@ -22,6 +23,12 @@ __all__ = ["AttemptRecord", "BatchRecord", "CampaignReport"]
 @dataclass(frozen=True)
 class AttemptRecord:
     """One execution of one batch (the QC gate may demand several)."""
+
+    # The JSON type of every field `to_dict` writes (for `require`).
+    FIELDS = dict(
+        attempt=int, qc_passed=bool, drifts=list, max_drift=NUMBER,
+        transient_retries=int, backoff_s=NUMBER, wall_clock_s=NUMBER,
+    )
 
     attempt: int  # 0 = first execution, >0 = QC-triggered re-execution
     qc_passed: bool
@@ -58,6 +65,12 @@ class AttemptRecord:
 @dataclass
 class BatchRecord:
     """Final state of one batch of the sweep."""
+
+    # The JSON type of every field `to_dict` writes (for `require`).
+    FIELDS = dict(
+        index=int, n_configs=int, shard=(str, type(None)), attempts=list,
+        qc_passed=bool, resumed=bool,
+    )
 
     index: int
     n_configs: int
@@ -200,4 +213,4 @@ class CampaignReport:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return load_json(path, cls.from_dict, error=DatasetError, what="report file")

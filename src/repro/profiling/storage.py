@@ -19,21 +19,53 @@ half-written file.
 
 The manifest is compact JSON (no indentation, so `json` takes its C
 encoder) and is rewritten whole on every commit.  Indented manifests
-written by earlier versions load the same way.
+written by earlier versions load the same way.  A torn manifest is
+refused with a `DatasetError` naming the field, never quarantined: the
+shards it indexes are real measurements that must not be thrown away.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
 from ..data.dataset import DatasetError, LatencyDataset
-from ..utils import atomic_write_text
+from ..utils import NUMBER, read_manifest, refuse, require, require_degradations
+from ..utils import write_manifest
+from .reference import ReferenceSet
+from .report import AttemptRecord, BatchRecord
 
 __all__ = ["CampaignStore", "MANIFEST_VERSION"]
 
 MANIFEST_VERSION = 1
+
+_REFERENCE_FIELDS = {"configs": list, "baselines": (list, type(None))}
+
+
+def _check_manifest(manifest: dict) -> None:
+    """Raise `ValueError` naming the first field the campaign cannot use."""
+    version = manifest.get("manifest_version")
+    if version != MANIFEST_VERSION:
+        raise ValueError(
+            f"unsupported manifest_version {version!r} (expected {MANIFEST_VERSION})"
+        )
+    require(manifest, "manifest", {"references": dict, "batches": dict})
+    if "degradations" in manifest:  # absent until a pool degrades
+        require_degradations(manifest)
+    require(manifest["references"], "manifest.references", _REFERENCE_FIELDS)
+    try:
+        ReferenceSet.from_dict(manifest["references"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest.references: {exc}") from None
+    for key, record in manifest["batches"].items():
+        where = f"manifest.batches.{key}"
+        if not key.isdigit():
+            raise ValueError(f"{where}: not a batch index")
+        require(record, where, BatchRecord.FIELDS)
+        for i, attempt in enumerate(record["attempts"]):
+            require(attempt, f"{where}.attempts.{i}", AttemptRecord.FIELDS)
+            if not all(isinstance(x, NUMBER) for x in attempt["drifts"]):
+                raise ValueError(f"{where}.attempts.{i}.drifts: expected numbers")
 
 
 class CampaignStore:
@@ -50,31 +82,26 @@ class CampaignStore:
 
     # ----------------------------- manifest ---------------------------- #
 
-    def load_manifest(self) -> Optional[dict]:
-        """The manifest dict, or None for a fresh campaign directory."""
-        if not self.manifest_path.exists():
-            return None
-        try:
-            manifest = json.loads(self.manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DatasetError(
-                f"campaign manifest {self.manifest_path} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(manifest, dict):
-            raise DatasetError(
-                f"campaign manifest {self.manifest_path} is not a JSON object "
-                f"(got {type(manifest).__name__})"
-            )
-        version = manifest.get("manifest_version")
-        if version != MANIFEST_VERSION:
-            raise DatasetError(
-                f"campaign manifest {self.manifest_path} has unsupported "
-                f"manifest_version {version!r} (expected {MANIFEST_VERSION})"
-            )
-        return manifest
+    def load_manifest(
+        self,
+        fingerprint: Optional[str] = None,
+        foreign: Optional[Exception] = None,
+    ) -> Optional[dict]:
+        """The manifest dict, or None for a fresh campaign directory.
+
+        A torn manifest raises `DatasetError`; one whose fingerprint is
+        not ``fingerprint`` (when given) raises ``foreign``.
+        """
+        return read_manifest(
+            self.manifest_path,
+            policy=refuse(DatasetError),
+            schema=_check_manifest,
+            fingerprint=fingerprint,
+            foreign=foreign,
+        )
 
     def save_manifest(self, manifest: dict) -> None:
-        atomic_write_text(self.manifest_path, json.dumps(manifest))
+        write_manifest(self.manifest_path, manifest)
 
     # ------------------------------ shards ----------------------------- #
 

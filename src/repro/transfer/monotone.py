@@ -34,6 +34,8 @@ from typing import Union
 
 import numpy as np
 
+from ..utils import require_header
+
 __all__ = ["MonotoneLatencyMap", "MAP_FORMAT_VERSION"]
 
 MAP_FORMAT_VERSION = 1
@@ -206,16 +208,7 @@ class MonotoneLatencyMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MonotoneLatencyMap":
-        version = d.get("format_version")
-        if version != MAP_FORMAT_VERSION:
-            raise ValueError(
-                f"monotone map payload has format_version {version!r} "
-                f"(expected {MAP_FORMAT_VERSION})"
-            )
-        if d.get("kind") != _KIND:
-            raise ValueError(
-                f"payload holds kind {d.get('kind')!r}, expected {_KIND!r}"
-            )
+        require_header(d, "monotone map payload", MAP_FORMAT_VERSION, _KIND)
         x = np.asarray(d["x"], dtype=float)
         y = np.asarray(d["y"], dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size == 0:

@@ -41,6 +41,7 @@ class TransferPredictor(PredictorBase):
     """Proxy-device zoo member composed with a learned monotone map."""
 
     KIND = "transfer"
+    STATE_FIELDS = {"proxy_model": dict, "map": dict}
 
     def __init__(
         self,

@@ -1,16 +1,26 @@
 """Small shared helpers: deterministic RNG handling, atomic file writes,
-quarantine of corrupt files, and a process pool with a serial fallback."""
+typed JSON loads, fingerprinted manifests, and a process pool with a
+serial fallback.
+
+The manifest helpers own the fingerprinted directory that campaigns,
+search checkpoints and search fleets share: `fingerprint` hashes a
+store's identity, `read_manifest` parses and checks the manifest and
+refuses a foreign fingerprint, `write_manifest` writes it, and a torn one
+follows the tear policy (`refuse` or `quarantine_with`) the store names.
+"""
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import multiprocessing
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Callable, Hashable, List, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,6 +29,17 @@ __all__ = [
     "pick",
     "atomic_write_text",
     "quarantine",
+    "fingerprint",
+    "read_json_object",
+    "load_json",
+    "NUMBER",
+    "require",
+    "require_header",
+    "refuse",
+    "quarantine_with",
+    "read_manifest",
+    "write_manifest",
+    "require_degradations",
     "run_pooled",
     "positive_int",
 ]
@@ -108,6 +129,136 @@ def quarantine(path: Union[str, Path]) -> Path:
         target = path.with_name(f"{path.name}.corrupt{n}")
     path.rename(target)
     return target
+
+
+def fingerprint(payload: Any) -> str:
+    """The sha256 hex digest of ``payload`` as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def read_json_object(path: Union[str, Path], data: Optional[bytes] = None) -> dict:
+    """The JSON object in ``path`` (or in ``data``, its bytes already read):
+    `FileNotFoundError` when absent, `ValueError` saying what is wrong when
+    it is not a JSON object."""
+    try:
+        payload = json.loads(Path(path).read_bytes() if data is None else data)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"not a JSON object (expected a JSON object, got {type(payload).__name__})"
+        )
+    return payload
+
+
+def load_json(path, parse: Callable[[dict], Any], *, what, error=ValueError, data=None):
+    """``parse`` the JSON object in ``path`` (``data``: its bytes, already
+    read); every failure (absent, unreadable, torn, rejected by ``parse``)
+    is an ``error`` naming the file."""
+    path = Path(path)
+    try:
+        return parse(read_json_object(path, data))
+    except FileNotFoundError:
+        raise error(f"{what} {path} does not exist") from None
+    except OSError as exc:
+        raise error(f"{what} {path} is unreadable: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = exc if isinstance(exc, ValueError) else repr(exc)
+        raise error(f"{what} {path}: {detail}") from exc
+
+
+def require_header(d: dict, what: str, version: int, kind=None, error=ValueError):
+    """Refuse a payload of another ``format_version`` or ``kind``."""
+    if d.get("format_version") != version:
+        found = d.get("format_version")
+        raise error(f"{what} has format_version {found!r} (expected {version})")
+    if kind is not None and d.get("kind") != kind:
+        raise error(f"{what} holds kind {d.get('kind')!r}, expected {kind!r}")
+
+
+# The Python types a JSON number parses to, for `require`.
+NUMBER = (int, float)
+
+
+def require(obj: Any, where: str, fields: dict) -> None:
+    """Check a parsed JSON object: each of ``fields`` present with its type
+    (or tuple of types).  The `ValueError` names the path, e.g.
+    ``manifest.batches.0.index: missing``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+    for name, kind in fields.items():
+        if name not in obj:
+            raise ValueError(f"{where}.{name}: missing")
+        if not isinstance(obj[name], kind):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            raise ValueError(
+                f"{where}.{name}: expected {' or '.join(k.__name__ for k in kinds)}, "
+                f"got {type(obj[name]).__name__}"
+            )
+
+
+def refuse(error: type) -> Callable[[Path, str], None]:
+    """Tear policy: raise ``error`` and move nothing."""
+
+    def policy(path: Path, reason: str) -> None:
+        raise error(f"manifest {path}: {reason}")
+
+    return policy
+
+
+def quarantine_with(
+    children: Callable[[], Iterable[Path]]
+) -> Callable[[Path, str], None]:
+    """Tear policy: quarantine the manifest and every file ``children()``
+    lists, and start fresh."""
+
+    def policy(path: Path, reason: str) -> None:
+        for torn in [path, *children()]:
+            quarantine(torn)
+
+    return policy
+
+
+def read_manifest(
+    path: Path,
+    *,
+    policy: Callable[[Path, str], None],
+    fingerprint: Optional[str] = None,
+    foreign: Optional[Exception] = None,
+    schema: Optional[Callable[[dict], None]] = None,
+) -> Optional[dict]:
+    """A store's manifest, or None when there is none to resume from.
+
+    Absent: None.  Torn (not a JSON object, no string ``fingerprint``, or
+    rejected by ``schema``): ``policy(path, reason)`` raises or sets it
+    aside, then None.  A fingerprint other than ``fingerprint`` raises
+    ``foreign``, the caller's typed error.
+    """
+    try:
+        manifest = read_json_object(path)
+        if schema is not None:
+            schema(manifest)
+        require(manifest, "manifest", {"fingerprint": str})
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        policy(path, str(exc))
+        return None
+    if fingerprint is not None and manifest["fingerprint"] != fingerprint:
+        raise foreign
+    return manifest
+
+
+def write_manifest(path: Path, manifest: dict) -> None:
+    """Atomically replace ``path`` with ``manifest`` as compact JSON."""
+    atomic_write_text(path, json.dumps(manifest))
+
+
+def require_degradations(manifest: dict) -> None:
+    """Check the `run_pooled` degradation records a manifest keeps."""
+    require(manifest, "manifest", {"degradations": list})
+    for i, record in enumerate(manifest["degradations"]):
+        require(record, f"manifest.degradations.{i}", {"kind": str})
 
 
 def run_pooled(

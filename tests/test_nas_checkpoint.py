@@ -9,6 +9,7 @@ search run uninterrupted with no checkpointing at all.  The matrix:
   as a SIGKILL would leave it),
 * a torn (truncated) step file from a crash during a write,
 * a schema-corrupt step file (valid JSON, wrong step number),
+* a stray ``step_*.json`` whose name is not one the store writes,
 * a gap in the step sequence (manual deletion / partial rsync),
 * a torn manifest (directory quarantined wholesale, run starts fresh),
 * a fingerprint mismatch (foreign directory refused loudly).
@@ -173,6 +174,19 @@ class TestTornStepFile:
         names = corrupt_files(ckpt)
         assert "step_00002.json.corrupt" in names
         assert "step_00003.json.corrupt" in names
+
+    def test_stray_step_files_quarantined(self, harness, evo_baseline, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        evo(harness, checkpoint_dir=ckpt).run(max_generations=2)
+        # Names the store never writes: no step number, or a step number
+        # spelled differently from the kept prefix's files.
+        for name in ("step_final.json", "step_1.json"):
+            (ckpt / name).write_text("{}")
+        resumed = evo(harness, checkpoint_dir=ckpt).run()
+        assert resumed.to_json() == evo_baseline
+        names = corrupt_files(ckpt)
+        assert "step_final.json.corrupt" in names
+        assert "step_1.json.corrupt" in names
 
     def test_torn_random_chunk(self, harness, rand_baseline, tmp_path):
         ckpt = tmp_path / "ckpt"

@@ -171,7 +171,12 @@ class TestDurableFleet:
         fleet_dir = tmp_path / "fleet"
         make_fleet(harness, fleet_dir=fleet_dir).run()
         member_dir = fleet_dir / "member_00003"
-        torn = ['{"kind": "search_res', '{"kind": "search_result", "seed": 999}']
+        torn = [
+            '{"kind": "search_res',
+            '{"kind": "search_result", "seed": 999}',
+            # The right kind and seed, but no body to parse.
+            '{"kind": "search_result", "seed": 3}',
+        ]
         for payload in torn:
             (member_dir / "result.json").write_text(payload)
             resumed = make_fleet(harness, fleet_dir=fleet_dir).run()
@@ -180,6 +185,7 @@ class TestDurableFleet:
         assert [p.name for p in quarantined] == [
             "result.json.corrupt",
             "result.json.corrupt1",
+            "result.json.corrupt2",
         ]
         assert [p.read_text() for p in quarantined] == torn
 
@@ -206,6 +212,19 @@ class TestDurableFleet:
             member_dir = fleet_dir / f"member_{seed:05d}"
             assert (member_dir / "result.json.corrupt").exists()
             assert (member_dir / "result.json").exists()
+
+    def test_torn_degradation_record_quarantines_the_manifest(
+        self, harness, serial_json, tmp_path
+    ):
+        fleet_dir = tmp_path / "fleet"
+        make_fleet(harness, fleet_dir=fleet_dir).run()
+        path = fleet_dir / "fleet_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["degradations"] = ["x"]  # the right fingerprint, a torn body
+        path.write_text(json.dumps(manifest))
+        resumed = make_fleet(harness, fleet_dir=fleet_dir).run()
+        assert resumed.to_json() == serial_json
+        assert (fleet_dir / "fleet_manifest.json.corrupt").exists()
 
     def test_torn_manifest_never_hands_results_to_a_foreign_fleet(
         self, harness, tmp_path

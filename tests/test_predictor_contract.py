@@ -14,19 +14,25 @@ cross-device transfer wrapper — against the exact protocol `ESMLoop`,
 * predict/save before fit are refused,
 * ``get_params`` round-trips through JSON *and* through the constructor,
 * saves are atomic: a crash mid-save leaves the previous file untouched
-  and no temp litter behind.
+  and no temp litter behind,
+* a torn payload (a state field dropped or retyped, an unknown
+  hyperparameter, a payload that is not an object) is a `ValueError`
+  naming the field path.
 
 Adding a predictor to the registry without passing this suite is a bug by
 definition; new zoo members only need an entry in ``CONTRACT_PREDICTORS``.
 """
 
+import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from repro import Predictor, get_predictor, load_predictor
+from repro.predictors import predictor_from_payload
 
 # Registry name -> fast constructor kwargs.  Every entry must stay cheap:
 # the whole suite runs each of these dozens of times.
@@ -207,6 +213,46 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="kind"):
             load_predictor(path)
+
+
+# State fields a payload may omit: a switcher saved before its CV was
+# raced has no fold counts and loads as a full CV.
+OPTIONAL_STATE = {"as": {"cv_folds_run"}}
+
+
+class TestTornPayload:
+    @pytest.fixture
+    def payload(self, name, toy):
+        X, y = toy
+        return json.loads(json.dumps(make(name).fit(X, y).to_payload()))
+
+    @staticmethod
+    def assert_names(payload, path):
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}[.:]"):
+            predictor_from_payload(payload)
+
+    def test_missing_state_field_names_it(self, name, payload):
+        for field in sorted(set(payload["state"]) - OPTIONAL_STATE.get(name, set())):
+            torn = copy.deepcopy(payload)
+            del torn["state"][field]
+            self.assert_names(torn, f"state.{field}")
+
+    def test_retyped_state_field_names_it(self, name, payload):
+        for field, value in payload["state"].items():
+            torn = copy.deepcopy(payload)
+            torn["state"][field] = 0 if isinstance(value, str) else "torn"
+            self.assert_names(torn, f"state.{field}")
+
+    def test_unknown_hyperparameter_names_it(self, name, payload):
+        payload["hyperparameters"]["bogus"] = 1
+        self.assert_names(payload, "hyperparameters.bogus")
+
+    @pytest.mark.parametrize("junk", [[1, 2], "payload", 3, None])
+    def test_non_object_payload_is_a_value_error(self, name, junk):
+        with pytest.raises(ValueError, match="expected an object"):
+            predictor_from_payload(junk)
+        with pytest.raises(ValueError, match="expected an object"):
+            type(make(name)).from_payload(junk)
 
 
 class TestAtomicSave:

@@ -8,6 +8,7 @@ injected faults, not the simulator's own background noise model.
 import copy
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,71 @@ class TestCampaignGuards:
             store.manifest_path.write_text(payload)
             with pytest.raises(DatasetError, match="not a JSON object"):
                 store.load_manifest()
+
+
+def _set(key, value):
+    return lambda m: m.__setitem__(key, value)
+
+
+def _set_batch(value):
+    return lambda m: m["batches"].__setitem__("0", value)
+
+
+class TestTornManifestBody:
+    """A manifest whose fingerprint matches but whose body is torn is
+    refused with a `DatasetError` naming the field; nothing is moved."""
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda m: m.pop("references"), "manifest.references"),
+            (_set("references", "x"), "manifest.references"),
+            (lambda m: m["references"].pop("configs"), "manifest.references.configs"),
+            (
+                lambda m: m["references"]["configs"].append({"units": []}),
+                "manifest.references",
+            ),
+            (
+                lambda m: m["references"].update(baselines=[None, None]),
+                "manifest.references",
+            ),
+            (lambda m: m.pop("batches"), "manifest.batches"),
+            (_set("batches", []), "manifest.batches"),
+            (_set_batch("x"), "manifest.batches.0"),
+            (_set_batch({}), "manifest.batches.0.index"),
+            (
+                lambda m: m["batches"]["0"].update(attempts="x"),
+                "manifest.batches.0.attempts",
+            ),
+            (
+                lambda m: m["batches"]["0"]["attempts"][0].pop("drifts"),
+                "manifest.batches.0.attempts.0.drifts",
+            ),
+            (lambda m: m["batches"].update(x={}), "manifest.batches.x"),
+            (_set("degradations", "x"), "manifest.degradations"),
+            (_set("degradations", ["x"]), "manifest.degradations.0"),
+            (
+                lambda m: m["batches"]["0"]["attempts"][0].update(drifts=[None]),
+                "manifest.batches.0.attempts.0.drifts",
+            ),
+        ],
+    )
+    def test_names_the_field(self, sweep_configs, spec, tmp_path, mutate, field):
+        def runner():
+            return make_runner(
+                SimulatedDevice(QUIET, seed=0), tmp_path, sweep_configs, spec
+            )
+
+        runner().run(max_batches=2)
+        store = CampaignStore(tmp_path)
+        manifest = store.load_manifest()
+        mutate(manifest)
+        store.manifest_path.write_text(json.dumps(manifest))
+        shards = shard_bytes(tmp_path, 2)
+        with pytest.raises(DatasetError, match=rf"{re.escape(field)}: "):
+            runner().run()
+        assert shard_bytes(tmp_path, 2) == shards
+        assert not list(tmp_path.rglob("*.corrupt*"))
 
 
 class TestParallelCampaign:

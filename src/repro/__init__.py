@@ -4,6 +4,8 @@ Top-level re-exports of the public API: architecture spaces and samplers,
 the layer IR and builders, the simulated devices (plus fault injection),
 all encodings and predictors, the paper's metrics, the latency dataset
 layer, and the fault-tolerant measurement-campaign subsystem.
+`SearchFleet` and `FleetResult` resolve on first access, through
+`repro.nas` (see there).
 """
 
 from .archspace import (
@@ -76,13 +78,11 @@ from .metrics import (
 from .nas import (
     Candidate,
     EvolutionarySearch,
-    FleetResult,
     ParetoFront,
     ParetoPoint,
     RandomSearch,
     SearchCheckpointError,
     SearchConstraints,
-    SearchFleet,
     SearchResult,
     SyntheticAccuracyProxy,
     displacement_metrics,
@@ -276,3 +276,11 @@ __all__ = [
     "DatasetError",
     "FORMAT_VERSION",
 ]
+
+
+def __getattr__(name):
+    if name in ("SearchFleet", "FleetResult"):
+        from . import nas
+
+        return getattr(nas, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

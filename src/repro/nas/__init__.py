@@ -15,11 +15,12 @@ population from a previous front, ``checkpoint_dir=`` gives every search
 atomic per-generation checkpoints with byte-identical kill-and-resume,
 and `SearchFleet` (``python -m repro.nas.fleet``) runs N seeds in
 parallel and aggregates the fronts into median/IQR dispersion bands.
+The fleet names resolve on first access (PEP 562), so running
+``python -m repro.nas.fleet`` does not find the module already imported.
 """
 
 from .checkpoint import CheckpointState, SearchCheckpoint, SearchCheckpointError
 from .constraints import SearchConstraints, static_costs
-from .fleet import FleetError, FleetResult, SearchFleet
 from .pareto import (
     ParetoFront,
     ParetoPoint,
@@ -54,3 +55,11 @@ __all__ = [
     "FleetResult",
     "FleetError",
 ]
+
+
+def __getattr__(name):
+    if name in ("SearchFleet", "FleetResult", "FleetError"):
+        from . import fleet
+
+        return getattr(fleet, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

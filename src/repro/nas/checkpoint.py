@@ -16,22 +16,22 @@ measurement campaigns:
   rewritten, so the resume scan is a pure prefix walk: the longest run of
   parseable consecutive steps from zero is the durable state.
 
-Torn or corrupted files — a step that fails to parse, fails its schema,
-or disagrees with its filename — are renamed to ``*.corrupt`` together
-with everything after them and every other ``step_*.json`` outside the
-kept prefix, and the search re-executes from the last good step.  The
-tear policy is quarantine: a torn manifest takes every step file with
-it.  Because every stochastic draw in the drivers flows from
-``(seed, slot, step)`` streams, the re-executed steps reproduce the
-original bytes exactly, which is what the kill/resume byte-identity tests
-assert.
+Torn or corrupted files — a step that fails to parse, fails its schema
+(every candidate in it included), or disagrees with its filename — are
+renamed to ``*.corrupt`` together with everything after them and every
+other ``step_*.json`` outside the kept prefix, and the search re-executes
+from the last good step.  The tear policy is quarantine: a torn manifest
+takes every step file with it.  Because every stochastic draw in the
+drivers flows from ``(seed, slot, step)`` streams, the re-executed steps
+reproduce the original bytes exactly, which is what the kill/resume
+byte-identity tests assert.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Union
 
 from ..utils import (
     atomic_write_text,
@@ -43,6 +43,9 @@ from ..utils import (
     require_header,
     write_manifest,
 )
+
+if TYPE_CHECKING:
+    from .search import Candidate
 
 __all__ = ["SearchCheckpointError", "CheckpointState", "SearchCheckpoint"]
 
@@ -59,8 +62,8 @@ class CheckpointState(NamedTuple):
     """The durable prefix of a search: its last step and both histories."""
 
     step: int
-    population: List[dict]  # candidate dicts of the last step's survivors
-    evaluated: List[dict]  # candidate dicts, evaluation order, all steps
+    population: List["Candidate"]  # the last step's survivors
+    evaluated: List["Candidate"]  # evaluation order, all steps
 
 
 class SearchCheckpoint:
@@ -131,12 +134,17 @@ class SearchCheckpoint:
         )
 
     def _read_step(self, step: int) -> Optional[dict]:
-        """Parse + validate one step file; ``None`` when absent/corrupt."""
+        """Parse + validate one step file, its candidates parsed into
+        `Candidate` objects; ``None`` when absent/corrupt."""
+        from .search import Candidate  # search imports this module
+
         try:
             payload = read_json_object(self._step_path(step))
             require_header(payload, "step", CHECKPOINT_FORMAT_VERSION, "search_step")
             require(payload, "step", {"evaluated": list, "population": list})
-        except (FileNotFoundError, ValueError):
+            for key in ("evaluated", "population"):
+                payload[key] = [Candidate.from_dict(c) for c in payload[key]]
+        except (FileNotFoundError, KeyError, TypeError, ValueError):
             return None
         if set(payload) != _STEP_KEYS or payload["step"] != step:
             return None
@@ -148,8 +156,8 @@ class SearchCheckpoint:
         Returns ``None`` when no step has been durably completed (fresh
         directory, or step 0 itself was torn).
         """
-        evaluated: List[dict] = []
-        population: List[dict] = []
+        evaluated: List[Candidate] = []
+        population: List[Candidate] = []
         last = -1
         while (payload := self._read_step(last + 1)) is not None:
             evaluated.extend(payload["evaluated"])

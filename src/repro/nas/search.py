@@ -383,9 +383,7 @@ class RandomSearch(_SearchBase):
             return self._result(evaluated, list(evaluated))
 
         state = store.load_state()
-        evaluated = (
-            [Candidate.from_dict(d) for d in state.evaluated] if state else []
-        )
+        evaluated = state.evaluated if state else []
         chunks = [
             configs[lo : lo + self.checkpoint_every]
             for lo in range(0, len(configs), self.checkpoint_every)
@@ -564,8 +562,7 @@ class EvolutionarySearch(_SearchBase):
                 store.write_step(0, dicts, dicts)
             start = 1
         else:
-            population = [Candidate.from_dict(d) for d in state.population]
-            evaluated = [Candidate.from_dict(d) for d in state.evaluated]
+            population, evaluated = state.population, state.evaluated
             start = state.step + 1
 
         executed = 0

@@ -209,12 +209,56 @@ class MLPPredictor(PredictorBase):
         }
 
     def _set_state(self, state: dict) -> None:
-        self._x_mean = np.asarray(state["x_mean"], dtype=float)
-        self._x_std = np.asarray(state["x_std"], dtype=float)
-        self._y_scale = float(state["y_scale"])
-        self._weights = [np.asarray(w, dtype=float) for w in state["weights"]]
-        self._biases = [np.asarray(b, dtype=float) for b in state["biases"]]
-        self.loss_history_ = [float(x) for x in state["loss_history"]]
+        """Restore the fitted arrays, refusing any `fit` cannot write.
+
+        Weights and biases must chain ``len(x_mean) -> hidden_dim ->
+        hidden_dim -> 1``, and ``y_scale`` and every ``x_std`` entry must be
+        finite and positive; otherwise predict would fail in ``matmul`` or
+        return NaN.  The `ValueError` names the field (``state.weights.1``).
+        """
+        x_mean = _state_array(state["x_mean"], "x_mean")
+        x_std = _state_array(state["x_std"], "x_std", x_mean.shape)
+        bad = np.flatnonzero(~(np.isfinite(x_std) & (x_std > 0)))
+        if bad.size:
+            raise ValueError(
+                f"state.x_std.{bad[0]}: {x_std[bad[0]]} is not a finite scale > 0"
+            )
+        y_scale = float(state["y_scale"])
+        if not (np.isfinite(y_scale) and y_scale > 0):
+            raise ValueError(f"state.y_scale: {y_scale} is not a finite scale > 0")
+        sizes = [x_mean.size, self.hidden_dim, self.hidden_dim, 1]
+        layers = list(zip(sizes[:-1], sizes[1:]))
+        arrays = {}
+        for field, shapes in (
+            ("weights", layers),
+            ("biases", [(fan_out,) for _, fan_out in layers]),
+        ):
+            if len(state[field]) != len(shapes):
+                raise ValueError(
+                    f"state.{field}: expected {len(shapes)} layers, "
+                    f"got {len(state[field])}"
+                )
+            arrays[field] = [
+                _state_array(a, f"{field}.{i}", shape)
+                for i, (a, shape) in enumerate(zip(state[field], shapes))
+            ]
+        self._x_mean, self._x_std, self._y_scale = x_mean, x_std, y_scale
+        self._weights, self._biases = arrays["weights"], arrays["biases"]
+        self.loss_history_ = _state_array(state["loss_history"], "loss_history").tolist()
+
+
+def _state_array(value, field: str, shape=None) -> np.ndarray:
+    """``value`` as a float array of ``shape`` (default: any 1-D length)."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"state.{field}: not a numeric array") from None
+    if (array.ndim != 1) if shape is None else (array.shape != shape):
+        expected = "1-D" if shape is None else f"shape {shape}"
+        raise ValueError(
+            f"state.{field}: expected {expected}, got shape {array.shape}"
+        )
+    return array
 
 
 def _views(flat: np.ndarray, shapes) -> List[np.ndarray]:

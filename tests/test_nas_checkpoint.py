@@ -188,6 +188,45 @@ class TestTornStepFile:
         assert "step_final.json.corrupt" in names
         assert "step_1.json.corrupt" in names
 
+    @pytest.mark.parametrize(
+        "field, torn",
+        [
+            ("population", {"torn": 1}),
+            ("evaluated", {"torn": 1}),
+            ("population", "not a candidate"),
+            ("evaluated", {"config": {"family": "resnet"}, "latency_s": 1.0,
+                           "accuracy": 0.5}),
+            ("population", {"config": None, "latency_s": 1.0, "accuracy": 0.5}),
+        ],
+    )
+    def test_torn_candidate_treated_as_torn_step(
+        self, harness, evo_baseline, tmp_path, field, torn
+    ):
+        """A step whose JSON and keys are fine but whose candidate is not
+        is torn: it and its suffix go, and the rerun rebuilds them."""
+        ckpt = tmp_path / "ckpt"
+        evo(harness, checkpoint_dir=ckpt).run(max_generations=2)
+        victim = ckpt / "step_00001.json"
+        payload = json.loads(victim.read_text())
+        payload[field][0] = torn
+        victim.write_text(json.dumps(payload, sort_keys=True))
+        resumed = evo(harness, checkpoint_dir=ckpt).run()
+        assert resumed.to_json() == evo_baseline
+        names = corrupt_files(ckpt)
+        assert "step_00001.json.corrupt" in names
+        assert "step_00002.json.corrupt" in names
+
+    def test_torn_candidate_in_random_chunk(self, harness, rand_baseline, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        rand(harness, checkpoint_dir=ckpt, checkpoint_every=4).run(max_chunks=2)
+        victim = ckpt / "step_00001.json"
+        payload = json.loads(victim.read_text())
+        payload["evaluated"][-1] = {"torn": 1}
+        victim.write_text(json.dumps(payload, sort_keys=True))
+        resumed = rand(harness, checkpoint_dir=ckpt, checkpoint_every=4).run()
+        assert resumed.to_json() == rand_baseline
+        assert "step_00001.json.corrupt" in corrupt_files(ckpt)
+
     def test_torn_random_chunk(self, harness, rand_baseline, tmp_path):
         ckpt = tmp_path / "ckpt"
         rand(harness, checkpoint_dir=ckpt, checkpoint_every=4).run(max_chunks=2)

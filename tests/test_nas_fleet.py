@@ -10,9 +10,13 @@ in any non-parent pid under a fork context).
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.nas
 from repro import (
     DeviceOracle,
     FleetResult,
@@ -363,3 +367,32 @@ class TestCLI:
             main(["--smoke", "--workers", "0"])
         assert excinfo.value.code == 2
         assert "argument --workers: " in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_run_as_module_without_runpy_warning(self):
+        """`python -m repro.nas.fleet` executes one copy of the module: the
+        packages above it do not import it first, so runpy has nothing to
+        warn about (and warnings are errors here)."""
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.nas.fleet", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "--workdir" in proc.stdout
+
+    def test_fleet_names_are_the_module_classes(self):
+        import repro.nas.fleet as fleet
+
+        assert repro.SearchFleet is fleet.SearchFleet
+        assert repro.FleetResult is fleet.FleetResult
+        assert repro.nas.SearchFleet is fleet.SearchFleet
+        assert repro.nas.FleetError is fleet.FleetError
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.nas.nope
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.nope

@@ -16,8 +16,8 @@ cross-device transfer wrapper — against the exact protocol `ESMLoop`,
 * saves are atomic: a crash mid-save leaves the previous file untouched
   and no temp litter behind,
 * a torn payload (a state field dropped or retyped, an unknown
-  hyperparameter, a payload that is not an object) is a `ValueError`
-  naming the field path.
+  hyperparameter, a payload that is not an object, MLP arrays that `fit`
+  cannot write) is a `ValueError` naming the field path.
 
 Adding a predictor to the registry without passing this suite is a bug by
 definition; new zoo members only need an entry in ``CONTRACT_PREDICTORS``.
@@ -246,6 +246,41 @@ class TestTornPayload:
     def test_unknown_hyperparameter_names_it(self, name, payload):
         payload["hyperparameters"]["bogus"] = 1
         self.assert_names(payload, "hyperparameters.bogus")
+
+    @pytest.fixture
+    def mlp_payload(self, toy):
+        X, y = toy
+        return json.loads(json.dumps(make("mlp").fit(X, y).to_payload()))
+
+    @pytest.mark.parametrize(
+        "path, tear",
+        [
+            ("state.weights.1", lambda s: s["weights"][1].pop()),  # short
+            ("state.weights.0", lambda s: [r.pop() for r in s["weights"][0]]),
+            ("state.weights.2", lambda s: s["weights"][2].append([0.0])),
+            ("state.weights.1", lambda s: s["weights"].__setitem__(1, [[0.0, [1.0]]])),
+            ("state.weights", lambda s: s["weights"].pop()),
+            ("state.biases.2", lambda s: s["biases"][2].append(0.0)),
+            ("state.biases", lambda s: s["biases"].append([0.0])),
+            ("state.x_mean", lambda s: s["x_mean"].__setitem__(0, [0.0])),
+            ("state.x_std", lambda s: s["x_std"].pop()),
+            ("state.x_std.3", lambda s: s["x_std"].__setitem__(3, 0.0)),
+            ("state.x_std.3", lambda s: s["x_std"].__setitem__(3, -1.0)),
+            ("state.x_std.3", lambda s: s["x_std"].__setitem__(3, float("nan"))),
+            ("state.x_std.3", lambda s: s["x_std"].__setitem__(3, float("inf"))),
+            ("state.y_scale", lambda s: s.__setitem__("y_scale", float("nan"))),
+            ("state.y_scale", lambda s: s.__setitem__("y_scale", float("inf"))),
+            ("state.y_scale", lambda s: s.__setitem__("y_scale", 0.0)),
+            ("state.y_scale", lambda s: s.__setitem__("y_scale", -2.5)),
+            ("state.loss_history", lambda s: s["loss_history"].__setitem__(0, "torn")),
+        ],
+    )
+    def test_mlp_state_fit_cannot_write_names_it(self, mlp_payload, path, tear):
+        """Shapes that do not chain ``d -> hidden -> hidden -> 1`` and
+        scales that are not finite and positive are refused at load, not
+        at predict (a ``matmul`` error) or in the output (NaN)."""
+        tear(mlp_payload["state"])
+        self.assert_names(json.loads(json.dumps(mlp_payload)), path)
 
     @pytest.mark.parametrize("junk", [[1, 2], "payload", 3, None])
     def test_non_object_payload_is_a_value_error(self, name, junk):

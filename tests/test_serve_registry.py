@@ -1,6 +1,7 @@
 """ModelRegistry: keyed lookup, hot-swap versioning, watch/reload atomicity."""
 
 import asyncio
+import json
 import os
 
 import numpy as np
@@ -217,6 +218,24 @@ class TestReloadFailures:
         assert registry.get(KEY).version == 1
         np.testing.assert_array_equal(registry.get(KEY).predictor.predict(X), before)
         assert registry.reload_failures == 1
+
+    def test_mlp_payload_fit_cannot_write_keeps_old_model(self, toy, tmp_path):
+        """An MLP payload that parses but whose weights do not chain (it
+        would fail at predict) is a reload failure, not a served model."""
+        X, y = toy
+        path = tmp_path / "mlp.json"
+        MLPPredictor(epochs=5).fit(X, y).save(path)
+        registry = ModelRegistry()
+        registry.load(KEY, path, watch=True)
+        before = registry.get(KEY).predictor.predict(X)
+
+        payload = json.loads(path.read_text())
+        payload["state"]["weights"][1].pop()  # one hidden row short
+        path.write_text(json.dumps(payload))
+        assert registry.poll() == []
+        assert registry.reload_failures == 1
+        assert registry.get(KEY).version == 1
+        np.testing.assert_array_equal(registry.get(KEY).predictor.predict(X), before)
 
     def test_the_same_bad_bytes_are_not_retried(self, toy, watched, monkeypatch):
         X, y = toy

@@ -10,15 +10,24 @@ committed dataset fixture under ``tests/fixtures/``) is::
 (DenseNet).  `ArchConfig.from_dict` is the one parser of this schema —
 datasets, checkpoints, reference sets and the prediction server all use
 it — and malformed input raises `ValueError` naming the field's path.
+
+Configs share their blocks: `from_dict`, the samplers and the mutation
+operator take each `BlockConfig` from one table (`shared_block`), whose
+entries also hold the block's JSON text in both key orders.
+`ArchConfig.to_json` joins those fragments instead of building a dict
+tree; a config holding any block that is not the table's own object is
+rendered by ``json.dumps(config.to_dict())`` itself, so the text, or
+the exception, is always exactly what that call gives.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-__all__ = ["BlockConfig", "ArchConfig"]
+__all__ = ["BlockConfig", "ArchConfig", "shared_block"]
 
 
 @dataclass(frozen=True, order=True)
@@ -100,6 +109,43 @@ class ArchConfig:
             "units": [[b.to_dict() for b in blocks] for blocks in self.units],
         }
 
+    def to_json(self, sort_keys: bool = False) -> str:
+        """Exactly ``json.dumps(self.to_dict(), sort_keys=sort_keys)``.
+
+        Joined from the shared blocks' fragments when every block is the
+        table's own object (the case for parsed, sampled and mutated
+        configs), so no block dict is built.  Otherwise the dict path runs
+        itself: user-built blocks, ``np.int64`` or ``bool`` kernels, ``int``
+        or non-finite expands all render, or raise, as `to_dict` does.
+        """
+        text = self._joined(3 if sort_keys else 2)
+        if text is None:
+            return json.dumps(self.to_dict(), sort_keys=sort_keys)
+        return text
+
+    def _joined(self, column: int) -> Optional[str]:
+        """The JSON text from the table's fragments in ``column``, or None
+        when a block is not the table's own object."""
+        if type(self.family) is not str:
+            return None
+        table = _INTERNED
+        units = []
+        for blocks in self.units:
+            texts = []
+            for b in blocks:
+                try:
+                    entry = table.get((b.kernel_size, b.expand_ratio))
+                except TypeError:  # an unhashable choice
+                    return None
+                if entry is None or entry[1] is not b:
+                    return None
+                texts.append(entry[column])
+            units.append("[" + ", ".join(texts) + "]")
+        return (
+            '{"family": ' + json.dumps(self.family)
+            + ', "units": [' + ", ".join(units) + "]}"
+        )
+
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
         """Parse the on-disk/wire schema; the one parser every caller uses.
@@ -107,7 +153,7 @@ class ArchConfig:
         A single pass coerces each block (``int`` kernel, ``float`` or
         ``None`` expand) and builds the `cache_key` alongside the units, so
         the key is set up front rather than rebuilt from the blocks.
-        Blocks come from a shared table (`_interned_block`), so a config
+        Blocks come from a shared table (`shared_block`), so a config
         holds the same `BlockConfig` objects as every other config making
         the same choice instead of building its own.
 
@@ -149,9 +195,9 @@ class ArchConfig:
                     e = b["expand_ratio"]
                     if e is not None:
                         e = float(e)
-                    ke, block = interned.get((k, e)) or _interned_block(k, e)
-                    blocks_key.append(ke)
-                    blocks.append(block)
+                    entry = interned.get((k, e)) or _interned_block(k, e)
+                    blocks_key.append(entry[0])
+                    blocks.append(entry[1])
             except (KeyError, TypeError, ValueError, OverflowError):
                 i = len(blocks)  # the first block that failed
                 raise ValueError(
@@ -169,24 +215,52 @@ class ArchConfig:
         return config
 
 
-#: ``(kernel_size, expand_ratio) -> ((k, e), BlockConfig)``.  The entries
-#: are immutable, so sharing them is safe; the table is emptied when it
-#: reaches `_INTERN_CAP`, so a request stream of ever-new choices cannot
-#: grow it, and the real choices are interned again on their next use.
-_INTERNED: Dict[Tuple[int, Optional[float]], Tuple[tuple, BlockConfig]] = {}
+#: ``(kernel_size, expand_ratio) -> ((k, e), BlockConfig, text, sorted
+#: text)``: the block and its ``json.dumps(block.to_dict())`` with and
+#: without ``sort_keys``.  The entries are immutable, so sharing them is
+#: safe; the table is emptied when it reaches `_INTERN_CAP`, so a request
+#: stream of ever-new choices cannot grow it, and the real choices are
+#: interned again on their next use.  (A block dropped that way is no
+#: longer the table's object and renders through the dict path.)
+_INTERNED: Dict[
+    Tuple[int, Optional[float]], Tuple[tuple, BlockConfig, str, str]
+] = {}
 _INTERN_CAP = 256
 
 
 def _interned_block(
     k: int, e: Optional[float]
-) -> Tuple[Tuple[int, Optional[float]], BlockConfig]:
-    """The shared ``(key, block)`` pair for a choice not yet in the table."""
+) -> Tuple[Tuple[int, Optional[float]], BlockConfig, str, str]:
+    """The entry for a choice not yet in the table, stored unless ``e`` is
+    zero: the table keys on equality, so ``0.0`` and ``-0.0`` would share
+    one block and a parsed ``0.0`` could come back as ``-0.0``."""
     if e is not None and not math.isfinite(e):
         raise ValueError("expand_ratio is not finite")
-    if len(_INTERNED) >= _INTERN_CAP:
-        _INTERNED.clear()
-    entry = _INTERNED[k, e] = ((k, e), BlockConfig(k, e))
+    block = BlockConfig(k, e)
+    d = block.to_dict()
+    entry = ((k, e), block, json.dumps(d), json.dumps(d, sort_keys=True))
+    if e != 0.0:
+        if len(_INTERNED) >= _INTERN_CAP:
+            _INTERNED.clear()
+        _INTERNED[k, e] = entry
     return entry
+
+
+def shared_block(kernel_size: int, expand_ratio: Optional[float] = None) -> BlockConfig:
+    """``BlockConfig(kernel_size, expand_ratio)``, from the shared table.
+
+    Only an ``int`` kernel with a ``None`` or finite ``float`` expand is
+    shared.  The table keys on equality, so it would hand back the ``1``
+    block for a ``True`` kernel or the ``1.0`` expand for ``1``; any other
+    choice gets a block of its own, exactly as the constructor builds it.
+    """
+    e = expand_ratio
+    if type(kernel_size) is int and (
+        e is None or (type(e) is float and math.isfinite(e))
+    ):
+        entry = _INTERNED.get((kernel_size, e)) or _interned_block(kernel_size, e)
+        return entry[1]
+    return BlockConfig(kernel_size, expand_ratio)
 
 
 def _block_error(path: str, field: str, block) -> str:

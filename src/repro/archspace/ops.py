@@ -13,7 +13,9 @@ the granularity the spaces are defined on:
 
 Both operators construct children from the spec's own choice sets and
 assert membership before returning, so a search can never leave its space
-regardless of parameter settings.
+regardless of parameter settings.  Children hold shared blocks
+(`repro.archspace.config.shared_block`): mutation takes each block from
+the table, crossover reuses its parents' units.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..utils import ensure_rng, pick
-from .config import ArchConfig, BlockConfig
+from .config import ArchConfig, shared_block
 from .spaces import SpaceSpec
 
 __all__ = ["mutate", "crossover"]
@@ -88,9 +90,7 @@ def mutate(
                 if rng.random() < p_block:
                     expands[i] = float(pick(rng, spec.expand_choices))
 
-        units.append(
-            tuple(BlockConfig(k, e) for k, e in zip(kernels, expands))
-        )
+        units.append(tuple(shared_block(k, e) for k, e in zip(kernels, expands)))
     child = ArchConfig(family=spec.family, units=tuple(units))
     return _check_member(child, spec, "mutate")
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..utils import ensure_rng, pick
-from .config import ArchConfig, BlockConfig
+from .config import ArchConfig, shared_block
 from .spaces import SpaceSpec
 
 __all__ = ["depth_bins", "assign_depth_bin", "RandomSampler", "BalancedSampler"]
@@ -69,7 +69,6 @@ class RandomSampler:
 
     def _fill_blocks(self, depths: List[int]) -> ArchConfig:
         spec = self.spec
-        expands = spec.expand_choices or (None,)
         units = []
         for depth in depths:
             if spec.uniform_kernel:
@@ -78,13 +77,11 @@ class RandomSampler:
             else:
                 kernels = [int(pick(self.rng, spec.kernel_choices)) for _ in range(depth)]
             blocks = tuple(
-                BlockConfig(
-                    kernel_size=k,
-                    expand_ratio=(
-                        None
-                        if spec.expand_choices is None
-                        else float(pick(self.rng, spec.expand_choices))
-                    ),
+                shared_block(
+                    k,
+                    None
+                    if spec.expand_choices is None
+                    else float(pick(self.rng, spec.expand_choices)),
                 )
                 for k in kernels
             )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
-from .config import ArchConfig, BlockConfig
+from .config import ArchConfig, BlockConfig, shared_block
 
 __all__ = [
     "SpaceSpec",
@@ -129,10 +129,7 @@ class SpaceSpec:
             es = per_block(es, d)
             units.append(
                 tuple(
-                    BlockConfig(
-                        kernel_size=int(k),
-                        expand_ratio=None if e is None else float(e),
-                    )
+                    shared_block(int(k), None if e is None else float(e))
                     for k, e in zip(ks, es)
                 )
             )

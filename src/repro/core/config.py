@@ -16,11 +16,17 @@ from typing import Any, Dict, Optional
 
 from ..archspace.spaces import SPACE_NAMES
 from ..encodings import ENCODINGS
+from ..hardware.profiles import DEVICE_NAMES
 from ..predictors import PREDICTORS
 
 __all__ = ["ESMConfig"]
 
 _SAMPLERS = ("balanced", "random")
+
+
+def _check_name(field: str, name: str, names) -> None:
+    if name not in names:
+        raise ValueError(f"unknown {field} {name!r}; available: {', '.join(names)}")
 
 
 @dataclass(frozen=True)
@@ -29,9 +35,13 @@ class ESMConfig:
 
     ``space`` / ``device`` are registry names (`space_by_name`,
     `device_by_name`); `ESMLoop` accepts explicit instances for both, in
-    which case the names here only label the run.  ``predictor_params``
-    are forwarded to the predictor constructor on every (re)fit —
-    predictors that accept a ``seed`` default to this config's ``seed``.
+    which case the names here only label the run.  So the names are
+    checked where they are resolved (`validate_space`,
+    `validate_device`): `ESMLoop` refuses an unknown one with a
+    `ValueError` listing the valid names before anything runs.
+    ``predictor_params`` are forwarded to the predictor constructor on
+    every (re)fit — predictors that accept a ``seed`` default to this
+    config's ``seed``.
     """
 
     # What the surrogate is for.
@@ -108,10 +118,11 @@ class ESMConfig:
 
     def validate_space(self) -> None:
         """Check ``space`` is a registry name (skipped for explicit specs)."""
-        if self.space not in SPACE_NAMES:
-            raise ValueError(
-                f"unknown space {self.space!r}; available: {', '.join(SPACE_NAMES)}"
-            )
+        _check_name("space", self.space, SPACE_NAMES)
+
+    def validate_device(self) -> None:
+        """Check ``device`` is a registry name (skipped for explicit devices)."""
+        _check_name("device", self.device, DEVICE_NAMES)
 
     def with_sampler(self, sampler: str) -> "ESMConfig":
         """This config with a different initial sampler (Fig. 11 sweeps)."""

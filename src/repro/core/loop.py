@@ -137,6 +137,7 @@ class ESMLoop:
             spec = space_by_name(config.space)
         self.spec = spec
         if device is None:
+            config.validate_device()
             device = SimulatedDevice(config.device, seed=config.seed)
         self.device = device
         self.workers = int(workers)

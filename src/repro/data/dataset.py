@@ -15,6 +15,10 @@ optional per sample but always written, so round trips are lossless.
 QC gate failed even after retries; it defaults to true and is only written
 when false, so datasets that predate the QC layer round-trip byte-for-byte.
 
+`LatencyDataset.save` writes exactly ``json.dumps(dataset.to_dict())``,
+rendered from each config's text (`ArchConfig.to_json`) rather than a
+dict tree; anything that text cannot render goes through the dict path.
+
 Files are written atomically (`repro.utils.atomic_write_text`) and loads
 wrap every failure mode — missing file, truncated/invalid JSON, schema
 violations — in `DatasetError`, which names the file and the problem.
@@ -55,9 +59,10 @@ class LatencySample:
     is_reference: bool = False
     qc_passed: bool = True
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
+        """Every field after ``config``, in written order: the one
+        definition `to_dict` and `LatencyDataset.to_json` share."""
         d = {
-            "config": self.config.to_dict(),
             "latency_s": self.latency_s,
             "device": self.device,
             "true_latency_s": self.true_latency_s,
@@ -67,6 +72,9 @@ class LatencySample:
         if not self.qc_passed:
             d["qc_passed"] = False
         return d
+
+    def to_dict(self) -> dict:
+        return {"config": self.config.to_dict(), **self._fields()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatencySample":
@@ -180,9 +188,30 @@ class LatencyDataset:
                 ) from exc
         return cls(samples)
 
+    def to_json(self) -> str:
+        """Exactly ``json.dumps(self.to_dict())``, without the dict tree.
+
+        Each sample is ``{"config": `` + its config's text
+        (`ArchConfig.to_json`, joined from shared block fragments) + the
+        ``json.dumps`` of its other fields.  Whatever that cannot render
+        is rendered, or raised, by ``json.dumps(self.to_dict())`` itself.
+        """
+        try:
+            samples = [
+                '{"config": ' + s.config.to_json() + ", " + json.dumps(s._fields())[1:]
+                for s in self.samples
+            ]
+        except (AttributeError, TypeError, ValueError):
+            return json.dumps(self.to_dict())
+        return (
+            '{"format_version": %d, "samples": [' % FORMAT_VERSION
+            + ", ".join(samples)
+            + "]}"
+        )
+
     def save(self, path: Union[str, Path]) -> None:
         """Serialise to ``path`` atomically (temp file + `os.replace`)."""
-        atomic_write_text(path, json.dumps(self.to_dict()))
+        atomic_write_text(path, self.to_json())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "LatencyDataset":

@@ -110,5 +110,6 @@ class GradientBoostingPredictor(PredictorBase):
     def _set_state(self, state: dict) -> None:
         self._init = float(state["init"])
         self._trees = [
-            _RegressionTree.from_jsonable(tree) for tree in state["trees"]
+            _RegressionTree.from_jsonable(tree, f"state.trees.{t}")
+            for t, tree in enumerate(state["trees"])
         ]

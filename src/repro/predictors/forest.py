@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .protocol import PredictorBase, validate_fit_inputs
+from .protocol import PredictorBase, state_array, validate_fit_inputs
 from .tree import _RegressionTree, _validate_tree_params
 
 __all__ = ["RandomForestPredictor"]
@@ -76,6 +76,12 @@ class RandomForestPredictor(PredictorBase):
     def predict(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted()
         X = self._check_predict_input(X)
+        used = max(int(cols[-1]) for cols in self._features) + 1
+        if X.shape[1] < used:
+            raise ValueError(
+                f"the forest reads feature {used - 1}, but the input has "
+                f"{X.shape[1]} features per row"
+            )
         out = np.zeros(X.shape[0], dtype=float)
         for tree, cols in zip(self._trees, self._features):
             out += tree.predict(X[:, cols])
@@ -96,9 +102,31 @@ class RandomForestPredictor(PredictorBase):
         }
 
     def _set_state(self, state: dict) -> None:
+        """Restore the trees and their column subsets: one subset per tree,
+        each of distinct, ascending column indices, and each tree's
+        ``feature`` below its subset's size (``state.trees.3.feature.0``)."""
+        trees, features = state["trees"], state["features"]
+        if len(features) != len(trees):
+            raise ValueError(
+                f"state.features: expected {len(trees)} column subsets (one per "
+                f"tree), got {len(features)}"
+            )
+        subsets = []
+        for t, cols in enumerate(features):
+            cols = state_array(cols, f"state.features.{t}")
+            if not (
+                cols.size
+                and cols[0] >= 0
+                and np.isfinite(cols[-1])
+                and np.all(cols == np.floor(cols))
+                and np.all(np.diff(cols) > 0)
+            ):
+                raise ValueError(
+                    f"state.features.{t}: not ascending distinct column indices"
+                )
+            subsets.append(cols.astype(np.int64))
         self._trees = [
-            _RegressionTree.from_jsonable(tree) for tree in state["trees"]
+            _RegressionTree.from_jsonable(tree, f"state.trees.{t}", len(cols))
+            for t, (tree, cols) in enumerate(zip(trees, subsets))
         ]
-        self._features = [
-            np.asarray(cols, dtype=np.int64) for cols in state["features"]
-        ]
+        self._features = subsets

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..utils import NUMBER
-from .protocol import PredictorBase, validate_fit_inputs
+from .protocol import PredictorBase, state_array, validate_fit_inputs
 
 __all__ = ["RidgePredictor"]
 
@@ -71,7 +71,11 @@ class RidgePredictor(PredictorBase):
         }
 
     def _set_state(self, state: dict) -> None:
-        self._x_mean = np.asarray(state["x_mean"], dtype=float)
-        self._x_std = np.asarray(state["x_std"], dtype=float)
-        self.coef_ = np.asarray(state["coef"], dtype=float)
+        """Restore the fitted arrays, refusing any `fit` cannot write:
+        ``coef`` and ``x_std`` as long as ``x_mean``, every ``x_std``
+        entry finite and > 0.  The `ValueError` names the field."""
+        x_mean = state_array(state["x_mean"], "state.x_mean")
+        x_std = state_array(state["x_std"], "state.x_std", x_mean.shape, scale=True)
+        self.coef_ = state_array(state["coef"], "state.coef", x_mean.shape)
+        self._x_mean, self._x_std = x_mean, x_std
         self.intercept_ = float(state["intercept"])

@@ -25,7 +25,12 @@ from typing import List, Optional
 import numpy as np
 
 from ..utils import NUMBER
-from .protocol import PREDICTOR_FORMAT_VERSION, PredictorBase, validate_fit_inputs
+from .protocol import (
+    PREDICTOR_FORMAT_VERSION,
+    PredictorBase,
+    state_array,
+    validate_fit_inputs,
+)
 
 __all__ = ["MLPPredictor", "MLP_FORMAT_VERSION"]
 
@@ -216,13 +221,8 @@ class MLPPredictor(PredictorBase):
         finite and positive; otherwise predict would fail in ``matmul`` or
         return NaN.  The `ValueError` names the field (``state.weights.1``).
         """
-        x_mean = _state_array(state["x_mean"], "x_mean")
-        x_std = _state_array(state["x_std"], "x_std", x_mean.shape)
-        bad = np.flatnonzero(~(np.isfinite(x_std) & (x_std > 0)))
-        if bad.size:
-            raise ValueError(
-                f"state.x_std.{bad[0]}: {x_std[bad[0]]} is not a finite scale > 0"
-            )
+        x_mean = state_array(state["x_mean"], "state.x_mean")
+        x_std = state_array(state["x_std"], "state.x_std", x_mean.shape, scale=True)
         y_scale = float(state["y_scale"])
         if not (np.isfinite(y_scale) and y_scale > 0):
             raise ValueError(f"state.y_scale: {y_scale} is not a finite scale > 0")
@@ -239,26 +239,14 @@ class MLPPredictor(PredictorBase):
                     f"got {len(state[field])}"
                 )
             arrays[field] = [
-                _state_array(a, f"{field}.{i}", shape)
+                state_array(a, f"state.{field}.{i}", shape)
                 for i, (a, shape) in enumerate(zip(state[field], shapes))
             ]
         self._x_mean, self._x_std, self._y_scale = x_mean, x_std, y_scale
         self._weights, self._biases = arrays["weights"], arrays["biases"]
-        self.loss_history_ = _state_array(state["loss_history"], "loss_history").tolist()
-
-
-def _state_array(value, field: str, shape=None) -> np.ndarray:
-    """``value`` as a float array of ``shape`` (default: any 1-D length)."""
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"state.{field}: not a numeric array") from None
-    if (array.ndim != 1) if shape is None else (array.shape != shape):
-        expected = "1-D" if shape is None else f"shape {shape}"
-        raise ValueError(
-            f"state.{field}: expected {expected}, got shape {array.shape}"
-        )
-    return array
+        self.loss_history_ = state_array(
+            state["loss_history"], "state.loss_history"
+        ).tolist()
 
 
 def _views(flat: np.ndarray, shapes) -> List[np.ndarray]:

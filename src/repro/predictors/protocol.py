@@ -85,6 +85,31 @@ def validate_fit_inputs(X, y, owner=None) -> "tuple[np.ndarray, np.ndarray]":
     return X, y
 
 
+def state_array(value, field: str, shape=None, *, scale: bool = False) -> np.ndarray:
+    """``value`` as a float array of ``shape`` (default: any 1-D length).
+
+    With ``scale`` every entry must also be finite and > 0 (a divisor such
+    as ``x_std``).  The `ValueError` names ``field``, a path such as
+    ``state.coef``.
+    """
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: not a numeric array") from None
+    if (array.ndim != 1) if shape is None else (array.shape != shape):
+        expected = "1-D" if shape is None else f"shape {shape}"
+        raise ValueError(
+            f"{field}: expected {expected}, got shape {array.shape}"
+        )
+    if scale:
+        bad = np.flatnonzero(~(np.isfinite(array) & (array > 0)))
+        if bad.size:
+            raise ValueError(
+                f"{field}.{bad[0]}: {array[bad[0]]} is not a finite scale > 0"
+            )
+    return array
+
+
 class PredictorBase:
     """Shared predictor plumbing; subclasses set ``KIND`` and the state pair."""
 

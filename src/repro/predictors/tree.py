@@ -20,17 +20,20 @@ from typing import Optional
 
 import numpy as np
 
-from .protocol import PredictorBase, validate_fit_inputs
+from ..utils import require
+from .protocol import PredictorBase, state_array, validate_fit_inputs
 
 __all__ = ["CARTPredictor"]
 
 _NO_FEATURE = -1  # feature index marking a leaf node
+_FIELDS = ("feature", "threshold", "left", "right", "value")  # one entry per node
+_INDEX_FIELDS = ("feature", "left", "right")
 
 
 class _RegressionTree:
     """Flat-array CART: ``feature < 0`` marks a leaf holding ``value``."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = _FIELDS
 
     def __init__(self):
         self.feature: np.ndarray = np.empty(0, dtype=np.int64)
@@ -158,6 +161,14 @@ class _RegressionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        # A loaded tree does not know the width it was fitted on: refuse
+        # input narrower than the columns it splits on.
+        used = int(self.feature.max()) + 1
+        if X.shape[1] < used:
+            raise ValueError(
+                f"the tree splits on feature {used - 1}, but the input has "
+                f"{X.shape[1]} features per row"
+            )
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
             internal = self.feature[node] >= 0
@@ -183,13 +194,59 @@ class _RegressionTree:
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict) -> "_RegressionTree":
+    def from_jsonable(
+        cls, d: dict, where: str, n_features: Optional[int] = None
+    ) -> "_RegressionTree":
+        """Restore `to_jsonable`'s dict, refusing any tree `fit` cannot write.
+
+        The five arrays must have one entry per node (at least one node).
+        ``feature`` must be -1 (a leaf) or a column index, below
+        ``n_features`` when that is known.  An internal node's children
+        must point strictly forward, inside the arrays: `fit` appends
+        children after their parent, so this rules out cycles and
+        `predict` always reaches a leaf.  The `ValueError` names the field
+        under ``where``, e.g. ``state.tree.left.0``.
+        """
+        require(d, where, dict.fromkeys(_FIELDS, list))
+        n = len(d["feature"])
+        if n == 0:
+            raise ValueError(f"{where}.feature: a tree needs at least one node")
+        arrays = {
+            name: state_array(d[name], f"{where}.{name}", (n,)) for name in _FIELDS
+        }
+        for name in _INDEX_FIELDS:
+            a = arrays[name]
+            bad = np.flatnonzero(~np.isfinite(a) | (a != np.floor(a)))
+            if bad.size:
+                raise ValueError(
+                    f"{where}.{name}.{bad[0]}: {a[bad[0]]} is not an integer"
+                )
+        feature = arrays["feature"]
+        bad = feature < _NO_FEATURE
+        index = "a feature index"
+        if n_features is not None:
+            bad |= feature >= n_features
+            index += f" below {n_features}"
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"{where}.feature.{i}: {int(feature[i])} is neither -1 (a leaf) "
+                f"nor {index}"
+            )
+        internal, nodes = feature >= 0, np.arange(n)
+        for name in ("left", "right"):
+            child = arrays[name]
+            bad = np.flatnonzero(internal & ((child <= nodes) | (child >= n)))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(
+                    f"{where}.{name}.{i}: child {int(child[i])} of node {i} does "
+                    f"not point forward inside the {n} nodes"
+                )
         tree = cls()
-        tree.feature = np.asarray(d["feature"], dtype=np.int64)
-        tree.threshold = np.asarray(d["threshold"], dtype=float)
-        tree.left = np.asarray(d["left"], dtype=np.int64)
-        tree.right = np.asarray(d["right"], dtype=np.int64)
-        tree.value = np.asarray(d["value"], dtype=float)
+        for name, a in arrays.items():
+            setattr(tree, name, a.astype(np.int64) if name in _INDEX_FIELDS else a)
         return tree
 
 
@@ -258,4 +315,4 @@ class CARTPredictor(PredictorBase):
         return {"tree": self._tree.to_jsonable()}
 
     def _set_state(self, state: dict) -> None:
-        self._tree = _RegressionTree.from_jsonable(state["tree"])
+        self._tree = _RegressionTree.from_jsonable(state["tree"], "state.tree")

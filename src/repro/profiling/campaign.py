@@ -306,10 +306,10 @@ class CampaignRunner:
         Stored in the manifest; a resume against a directory whose
         fingerprint differs (different configs, seed, protocol, device,
         batching, or references) is refused rather than silently mixed.
+        The configs reach the hash one sorted-key text at a time
+        (`ArchConfig.to_json`), never as dicts or one document.
         """
         payload = {
-            "configs": [c.to_dict() for c in self.configs],
-            "references": [c.to_dict() for c in self.references.configs],
             "protocol": self.protocol.to_dict(),
             "batch_size": self.batch_size,
             "seed": self.seed,
@@ -318,7 +318,15 @@ class CampaignRunner:
             "max_transient_retries": self.max_transient_retries,
             "device": self.device_name,
         }
-        return fingerprint_of(payload)
+
+        def texts(configs):
+            return (c.to_json(sort_keys=True) for c in configs)
+
+        lists = {
+            "configs": texts(self.configs),
+            "references": texts(self.references.configs),
+        }
+        return fingerprint_of(payload, lists)
 
     # ------------------------------------------------------------------ #
     # Measurement primitives

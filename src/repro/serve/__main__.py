@@ -6,7 +6,8 @@ key: ``<space>__<device>__<encoding>.json`` (e.g.
 loaded at startup and watched; overwriting one with a freshly retrained
 surrogate (saves are atomic) hot-swaps it live within ``--poll-interval``
 seconds.  Speak JSON-lines to the listening port — see the README
-"Serve" quick-start.
+"Serve" quick-start.  A payload that does not load at startup is one
+stderr line naming the file and the field, and exit status 2.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ def load_models_dir(registry: ModelRegistry, models_dir: Path) -> int:
 async def serve(args: argparse.Namespace) -> int:
     registry = ModelRegistry()
     models_dir = Path(args.models)
-    n = load_models_dir(registry, models_dir)
+    try:
+        n = load_models_dir(registry, models_dir)
+    except ValueError as exc:  # names the file and the field
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if n == 0:
         print(f"no *.json model payloads found in {models_dir}", file=sys.stderr)
         return 1

@@ -131,9 +131,27 @@ def quarantine(path: Union[str, Path]) -> Path:
     return target
 
 
-def fingerprint(payload: Any) -> str:
-    """The sha256 hex digest of ``payload`` as sorted-key JSON."""
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+def fingerprint(payload: dict, lists: Optional[dict] = None) -> str:
+    """The sha256 hex digest of ``payload`` (string keys) as sorted-key JSON.
+
+    ``lists`` maps more top-level keys to iterables of their items' own
+    sorted-key JSON text.  The hash is fed a field, then an item, at a
+    time, so a long list never becomes one string; the digest is the one
+    ``payload`` with those lists in place would give.
+    """
+    lists = lists or {}
+    digest = hashlib.sha256(b"{")
+    for i, key in enumerate(sorted({**payload, **lists})):
+        digest.update(((", " if i else "") + json.dumps(key) + ": ").encode())
+        if key not in lists:
+            digest.update(json.dumps(payload[key], sort_keys=True).encode())
+            continue
+        digest.update(b"[")
+        for j, text in enumerate(lists[key]):
+            digest.update(((", " if j else "") + text).encode())
+        digest.update(b"]")
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def read_json_object(path: Union[str, Path], data: Optional[bytes] = None) -> dict:

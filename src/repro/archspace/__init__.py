@@ -1,35 +1,11 @@
 """Architecture spaces (Table I), configurations, samplers, and operators."""
 
-from .config import ArchConfig, BlockConfig
-from .ops import crossover, mutate
-from .sampling import (
-    BalancedSampler,
-    RandomSampler,
-    assign_depth_bin,
-    depth_bins,
-)
-from .spaces import (
-    SPACE_NAMES,
-    SpaceSpec,
-    densenet_space,
-    mobilenetv3_space,
-    resnet_space,
-    space_by_name,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ArchConfig",
-    "BlockConfig",
-    "SpaceSpec",
-    "resnet_space",
-    "mobilenetv3_space",
-    "densenet_space",
-    "space_by_name",
-    "SPACE_NAMES",
-    "RandomSampler",
-    "BalancedSampler",
-    "depth_bins",
-    "assign_depth_bin",
-    "mutate",
-    "crossover",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".config": "ArchConfig BlockConfig",
+    ".spaces": """SpaceSpec resnet_space mobilenetv3_space densenet_space
+        space_by_name SPACE_NAMES""",
+    ".sampling": "RandomSampler BalancedSampler depth_bins assign_depth_bin",
+    ".ops": "mutate crossover",
+})

@@ -40,6 +40,12 @@ class BlockConfig:
     def to_dict(self) -> dict:
         return {"kernel_size": self.kernel_size, "expand_ratio": self.expand_ratio}
 
+    def __reduce__(self):
+        # Unpickled through the shared table, so a config a pool worker
+        # sends back holds the table's blocks and renders from fragments;
+        # a choice the table does not share comes back as its own block.
+        return shared_block, (self.kernel_size, self.expand_ratio)
+
 
 @dataclass(frozen=True)
 class ArchConfig:

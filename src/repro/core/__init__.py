@@ -17,19 +17,11 @@ NAS consumers can `load_run` a finished surrogate plus its provenance
 without re-measuring anything.
 """
 
-from .config import ESMConfig
-from .extension import extension_plan, extension_weights
-from .loop import ESMLoop, ESMRunResult, load_run
-from .report import ESM_REPORT_FORMAT_VERSION, ESMRunReport, IterationRecord
+from .. import _lazy_exports
 
-__all__ = [
-    "ESMConfig",
-    "ESMLoop",
-    "ESMRunResult",
-    "ESMRunReport",
-    "IterationRecord",
-    "ESM_REPORT_FORMAT_VERSION",
-    "extension_weights",
-    "extension_plan",
-    "load_run",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".config": "ESMConfig",
+    ".loop": "ESMLoop ESMRunResult load_run",
+    ".report": "ESMRunReport IterationRecord ESM_REPORT_FORMAT_VERSION",
+    ".extension": "extension_weights extension_plan",
+})

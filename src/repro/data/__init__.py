@@ -1,10 +1,7 @@
 """Latency dataset container and JSON (de)serialisation."""
 
-from .dataset import FORMAT_VERSION, DatasetError, LatencyDataset, LatencySample
+from .. import _lazy_exports
 
-__all__ = [
-    "LatencyDataset",
-    "LatencySample",
-    "DatasetError",
-    "FORMAT_VERSION",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".dataset": "LatencyDataset LatencySample DatasetError FORMAT_VERSION",
+})

@@ -1,25 +1,13 @@
 """Simulated measurement devices: profiles, roofline engine, noise model,
 measurement exceptions, and seeded fault injection."""
 
-from .cache import AnalyticalCache, CacheInfo
-from .errors import MeasurementError, MeasurementTimeout
-from .profiles import DEVICE_NAMES, DEVICES, DeviceProfile, device_by_name
-from .roofline import compute_efficiency, layer_time
-from .simulator import SimulatedDevice
-from .faults import FaultPlan, FaultyDevice
+from .. import _lazy_exports
 
-__all__ = [
-    "AnalyticalCache",
-    "CacheInfo",
-    "DeviceProfile",
-    "DEVICES",
-    "DEVICE_NAMES",
-    "device_by_name",
-    "layer_time",
-    "compute_efficiency",
-    "SimulatedDevice",
-    "MeasurementError",
-    "MeasurementTimeout",
-    "FaultPlan",
-    "FaultyDevice",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".cache": "AnalyticalCache CacheInfo",
+    ".profiles": "DeviceProfile DEVICES DEVICE_NAMES device_by_name",
+    ".roofline": "layer_time compute_efficiency",
+    ".simulator": "SimulatedDevice",
+    ".errors": "MeasurementError MeasurementTimeout",
+    ".faults": "FaultPlan FaultyDevice",
+})

@@ -15,51 +15,19 @@ population from a previous front, ``checkpoint_dir=`` gives every search
 atomic per-generation checkpoints with byte-identical kill-and-resume,
 and `SearchFleet` (``python -m repro.nas.fleet``) runs N seeds in
 parallel and aggregates the fronts into median/IQR dispersion bands.
-The fleet names resolve on first access (PEP 562), so running
+The names resolve on first access (PEP 562), so running
 ``python -m repro.nas.fleet`` does not find the module already imported.
 """
 
-from .checkpoint import CheckpointState, SearchCheckpoint, SearchCheckpointError
-from .constraints import SearchConstraints, static_costs
-from .pareto import (
-    ParetoFront,
-    ParetoPoint,
-    constrained_dominates,
-    constrained_non_dominated_rank,
-    crowding_distance,
-    displacement_metrics,
-    non_dominated_rank,
-)
-from .proxy import SyntheticAccuracyProxy
-from .search import Candidate, EvolutionarySearch, RandomSearch, SearchResult
+from .. import _lazy_exports
 
-__all__ = [
-    "SyntheticAccuracyProxy",
-    "ParetoPoint",
-    "ParetoFront",
-    "non_dominated_rank",
-    "constrained_dominates",
-    "constrained_non_dominated_rank",
-    "crowding_distance",
-    "displacement_metrics",
-    "Candidate",
-    "SearchResult",
-    "RandomSearch",
-    "EvolutionarySearch",
-    "SearchConstraints",
-    "static_costs",
-    "SearchCheckpoint",
-    "SearchCheckpointError",
-    "CheckpointState",
-    "SearchFleet",
-    "FleetResult",
-    "FleetError",
-]
-
-
-def __getattr__(name):
-    if name in ("SearchFleet", "FleetResult", "FleetError"):
-        from . import fleet
-
-        return getattr(fleet, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".proxy": "SyntheticAccuracyProxy",
+    ".pareto": """ParetoPoint ParetoFront non_dominated_rank
+        constrained_dominates constrained_non_dominated_rank crowding_distance
+        displacement_metrics""",
+    ".search": "Candidate SearchResult RandomSearch EvolutionarySearch",
+    ".constraints": "SearchConstraints static_costs",
+    ".checkpoint": "SearchCheckpoint SearchCheckpointError CheckpointState",
+    ".fleet": "SearchFleet FleetResult FleetError",
+})

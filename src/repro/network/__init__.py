@@ -1,28 +1,10 @@
 """Layer IR, per-family network builders, and cost analysis."""
 
-from .analysis import (
-    NetworkCosts,
-    network_costs,
-    num_kernels,
-    total_flops,
-    total_params,
-    total_traffic_bytes,
-    working_set_bytes,
-)
-from .builders import BUILDER_FAMILIES, build_network
-from .ir import LAYER_KINDS, Layer, Network
+from .. import _lazy_exports
 
-__all__ = [
-    "Layer",
-    "Network",
-    "LAYER_KINDS",
-    "build_network",
-    "BUILDER_FAMILIES",
-    "total_flops",
-    "total_params",
-    "total_traffic_bytes",
-    "working_set_bytes",
-    "num_kernels",
-    "NetworkCosts",
-    "network_costs",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".ir": "Layer Network LAYER_KINDS",
+    ".builders": "build_network BUILDER_FAMILIES",
+    ".analysis": """total_flops total_params total_traffic_bytes
+        working_set_bytes num_kernels NetworkCosts network_costs""",
+})

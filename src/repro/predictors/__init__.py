@@ -5,75 +5,93 @@ Every member implements the `Predictor` contract (`protocol`):
 determinism, JSON-serialisable hyperparameters.  The registry maps CLI
 names to constructors; `load_predictor` is the inverse of any member's
 ``save``, dispatching on the payload's ``kind``.
+
+Names resolve on first use (PEP 562, see `repro`), and so do the
+registry's classes: an entry of `PREDICTORS` or of the payload-kind table
+imports its member's module when it is first looked up, so
+`load_predictor` imports only the payload's kind.
 """
 
+import sys
+from collections.abc import MutableMapping
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
+from .. import _lazy_exports
 from ..utils import load_json, require
-from .boosting import GradientBoostingPredictor
-from .forest import RandomForestPredictor
-from .linear import RidgePredictor
-from .lut import LookupTableSurrogate
-from .mlp import MLPPredictor
-from .oracle import DeviceOracle, LatencyOracle, PredictorOracle
-from .protocol import PREDICTOR_FORMAT_VERSION, Predictor, PredictorBase
-from .switching import (
-    AdaptiveSwitchingPredictor,
-    kfold_indices,
-    select_winner,
-)
-from .tree import CARTPredictor
 
-__all__ = [
-    "Predictor",
-    "PredictorBase",
-    "PREDICTOR_FORMAT_VERSION",
-    "MLPPredictor",
-    "LookupTableSurrogate",
-    "RidgePredictor",
-    "CARTPredictor",
-    "RandomForestPredictor",
-    "GradientBoostingPredictor",
-    "AdaptiveSwitchingPredictor",
-    "TransferPredictor",
-    "kfold_indices",
-    "select_winner",
-    "PREDICTORS",
-    "get_predictor",
-    "list_predictors",
-    "load_predictor",
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .protocol import PredictorBase
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".protocol": "Predictor PredictorBase PREDICTOR_FORMAT_VERSION",
+    ".mlp": "MLPPredictor",
+    ".lut": "LookupTableSurrogate",
+    ".linear": "RidgePredictor",
+    ".tree": "CARTPredictor",
+    ".forest": "RandomForestPredictor",
+    ".boosting": "GradientBoostingPredictor",
+    ".switching": "AdaptiveSwitchingPredictor kfold_indices select_winner",
+    "..transfer.predictor": "TransferPredictor",
+    ".oracle": "LatencyOracle PredictorOracle DeviceOracle",
+})
+__all__ += [
+    "PREDICTORS", "get_predictor", "list_predictors", "load_predictor",
     "predictor_from_payload",
-    "LatencyOracle",
-    "PredictorOracle",
-    "DeviceOracle",
 ]
 
-PREDICTORS: Dict[str, Callable] = {
-    "mlp": MLPPredictor,
-    "lut": LookupTableSurrogate,
-    "lut+bias": lambda **kw: LookupTableSurrogate(bias_correction=True, **kw),
-    "ridge": RidgePredictor,
-    "cart": CARTPredictor,
-    "rf": RandomForestPredictor,
-    "gb": GradientBoostingPredictor,
-    "as": AdaptiveSwitchingPredictor,
-}
 
-# Payload ``kind`` -> class, for `load_predictor`.  Registry aliases
-# ("lut+bias") share their class's kind; the hyperparameters disambiguate.
-_KINDS: Dict[str, type] = {
-    cls.KIND: cls
-    for cls in (
-        MLPPredictor,
-        LookupTableSurrogate,
-        RidgePredictor,
-        CARTPredictor,
-        RandomForestPredictor,
-        GradientBoostingPredictor,
-        AdaptiveSwitchingPredictor,
-    )
-}
+class _Registry(MutableMapping):
+    """A name -> constructor table; an entry given as a string names one
+    of this package's exports and is imported when first looked up."""
+
+    def __init__(self, entries):
+        self._entries = dict(entries)
+
+    def __getitem__(self, name):
+        value = self._entries[name]
+        if isinstance(value, str):
+            value = self._entries[name] = getattr(sys.modules[__name__], value)
+        return value
+
+    def __setitem__(self, name, value):
+        self._entries[name] = value
+
+    def __delitem__(self, name):
+        del self._entries[name]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+def _lut_bias(**kwargs):
+    """The ``lut+bias`` registry entry: the LUT with bias correction on."""
+    from .lut import LookupTableSurrogate
+
+    return LookupTableSurrogate(bias_correction=True, **kwargs)
+
+
+PREDICTORS = _Registry({
+    "mlp": "MLPPredictor",
+    "lut": "LookupTableSurrogate",
+    "lut+bias": _lut_bias,
+    "ridge": "RidgePredictor",
+    "cart": "CARTPredictor",
+    "rf": "RandomForestPredictor",
+    "gb": "GradientBoostingPredictor",
+    "as": "AdaptiveSwitchingPredictor",
+    "transfer": "TransferPredictor",
+})
+
+# Payload ``kind`` -> class, for `load_predictor`: every registry name is
+# its class's ``KIND``, except aliases ("lut+bias"), which share their
+# class's kind (the hyperparameters disambiguate).
+_KINDS = _Registry(
+    {kind: cls for kind, cls in PREDICTORS._entries.items() if isinstance(cls, str)}
+)
 
 
 def get_predictor(name: str, **kwargs):
@@ -91,7 +109,7 @@ def list_predictors() -> Tuple[str, ...]:
     return tuple(PREDICTORS)
 
 
-def predictor_from_payload(payload: dict) -> PredictorBase:
+def predictor_from_payload(payload: dict) -> "PredictorBase":
     """Reconstruct any zoo member from its ``to_payload`` dict."""
     require(payload, "predictor payload", {})
     kind = payload.get("kind")
@@ -106,7 +124,7 @@ def predictor_from_payload(payload: dict) -> PredictorBase:
 
 def load_predictor(
     path: Union[str, Path], *, data: Optional[bytes] = None
-) -> PredictorBase:
+) -> "PredictorBase":
     """Load a saved predictor of *any* kind (the inverse of ``save``).
 
     ``data``, when given, is the file's content already read by the
@@ -115,15 +133,3 @@ def load_predictor(
     knows exactly what it loaded.
     """
     return load_json(path, predictor_from_payload, what="predictor file", data=data)
-
-
-# Imported last: `repro.transfer.predictor` subclasses `PredictorBase`
-# from this package, so its import must not run before `protocol` has
-# been executed above.  With the class in hand, the transfer member joins
-# the registry like any other — `get_predictor("transfer")`,
-# `load_predictor`, `ESMConfig(predictor="transfer")`, and the contract
-# suite all see it through the same two tables.
-from ..transfer.predictor import TransferPredictor  # noqa: E402
-
-PREDICTORS["transfer"] = TransferPredictor
-_KINDS[TransferPredictor.KIND] = TransferPredictor

@@ -85,12 +85,14 @@ def validate_fit_inputs(X, y, owner=None) -> "tuple[np.ndarray, np.ndarray]":
     return X, y
 
 
-def state_array(value, field: str, shape=None, *, scale: bool = False) -> np.ndarray:
+def state_array(
+    value, field: str, shape=None, *, scale: bool = False, finite: bool = False
+) -> np.ndarray:
     """``value`` as a float array of ``shape`` (default: any 1-D length).
 
-    With ``scale`` every entry must also be finite and > 0 (a divisor such
-    as ``x_std``).  The `ValueError` names ``field``, a path such as
-    ``state.coef``.
+    With ``finite`` every entry must also be finite; with ``scale``, finite
+    and > 0 (a divisor such as ``x_std``).  The `ValueError` names
+    ``field``, a path such as ``state.coef``.
     """
     try:
         array = np.asarray(value, dtype=float)
@@ -101,12 +103,12 @@ def state_array(value, field: str, shape=None, *, scale: bool = False) -> np.nda
         raise ValueError(
             f"{field}: expected {expected}, got shape {array.shape}"
         )
-    if scale:
-        bad = np.flatnonzero(~(np.isfinite(array) & (array > 0)))
+    if scale or finite:
+        ok = np.isfinite(array) & (array > 0) if scale else np.isfinite(array)
+        bad = np.flatnonzero(~ok)
         if bad.size:
-            raise ValueError(
-                f"{field}.{bad[0]}: {array[bad[0]]} is not a finite scale > 0"
-            )
+            what = "a finite scale > 0" if scale else "finite"
+            raise ValueError(f"{field}.{bad[0]}: {array[bad[0]]} is not {what}")
     return array
 
 

@@ -19,19 +19,11 @@ This package turns that into a product:
 path: the shipped TCP server under open-loop JSON-lines load.
 """
 
-from .batcher import MicroBatcher
-from .cache import CachedPrediction, PredictionLRU
-from .registry import ModelEntry, ModelRegistry, ServeKey
-from .server import PredictionResult, PredictionServer, request_lines
+from .. import _lazy_exports
 
-__all__ = [
-    "MicroBatcher",
-    "CachedPrediction",
-    "PredictionLRU",
-    "ModelEntry",
-    "ModelRegistry",
-    "ServeKey",
-    "PredictionResult",
-    "PredictionServer",
-    "request_lines",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".batcher": "MicroBatcher",
+    ".cache": "CachedPrediction PredictionLRU",
+    ".registry": "ModelEntry ModelRegistry ServeKey",
+    ".server": "PredictionResult PredictionServer request_lines",
+})

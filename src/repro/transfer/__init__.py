@@ -8,11 +8,9 @@ target measurement budgets over all ordered device pairs and reports
 transfer accuracy against from-scratch surrogates at equal budget.
 """
 
-from .monotone import MAP_FORMAT_VERSION, MonotoneLatencyMap
-from .predictor import TransferPredictor
+from .. import _lazy_exports
 
-__all__ = [
-    "MAP_FORMAT_VERSION",
-    "MonotoneLatencyMap",
-    "TransferPredictor",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".monotone": "MAP_FORMAT_VERSION MonotoneLatencyMap",
+    ".predictor": "TransferPredictor",
+})

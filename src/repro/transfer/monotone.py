@@ -34,7 +34,8 @@ from typing import Union
 
 import numpy as np
 
-from ..utils import require_header
+from ..predictors.protocol import state_array
+from ..utils import require, require_header
 
 __all__ = ["MonotoneLatencyMap", "MAP_FORMAT_VERSION"]
 
@@ -207,20 +208,43 @@ class MonotoneLatencyMap:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MonotoneLatencyMap":
+    def from_dict(cls, d: dict, where: str = "map") -> "MonotoneLatencyMap":
+        """Restore `to_dict`'s form, refusing any map `fit` cannot write.
+
+        The knots must be finite, equal-length, with ``x`` strictly
+        increasing and ``y`` non-decreasing, and ``n_pairs`` counts at
+        least one pair per knot.  The `ValueError` names the field under
+        ``where``, e.g. ``state.map.y.0``.
+        """
         require_header(d, "monotone map payload", MAP_FORMAT_VERSION, _KIND)
-        x = np.asarray(d["x"], dtype=float)
-        y = np.asarray(d["y"], dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or x.size == 0:
-            raise ValueError("monotone map knots must be equal-length 1-D arrays")
+        require(d, where, {"x": list, "y": list, "n_pairs": int})
+        x = state_array(d["x"], f"{where}.x", finite=True)
+        y = state_array(d["y"], f"{where}.y", finite=True)
+        if x.size == 0:
+            raise ValueError(f"{where}.x: a monotone map needs at least one knot")
+        if x.shape != y.shape:
+            raise ValueError(
+                f"{where}.y: {y.size} values for {x.size} knots (monotone map "
+                "knots must be equal-length 1-D arrays)"
+            )
         if np.any(np.diff(x) <= 0):
-            raise ValueError("monotone map knot positions must strictly increase")
+            raise ValueError(
+                f"{where}.x: monotone map knot positions must strictly increase"
+            )
         if np.any(np.diff(y) < 0):
-            raise ValueError("monotone map knot values must be non-decreasing")
+            raise ValueError(
+                f"{where}.y: monotone map knot values must be non-decreasing"
+            )
+        n_pairs = d["n_pairs"]
+        if isinstance(n_pairs, bool) or n_pairs < x.size:
+            raise ValueError(
+                f"{where}.n_pairs: {n_pairs!r} is not a count of at least "
+                f"{x.size} pairs (one per knot)"
+            )
         instance = cls()
         instance._x = x
         instance._y = y
-        instance._n_pairs = int(d.get("n_pairs", x.size))
+        instance._n_pairs = n_pairs
         return instance
 
     def __eq__(self, other: object) -> bool:

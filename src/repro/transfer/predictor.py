@@ -189,4 +189,4 @@ class TransferPredictor(PredictorBase):
         self._proxy_model = predictor_from_payload(state["proxy_model"])
         if self.proxy_payload is not None:
             self._frozen_proxy = self._proxy_model
-        self._map = MonotoneLatencyMap.from_dict(state["map"])
+        self._map = MonotoneLatencyMap.from_dict(state["map"], "state.map")

@@ -11,14 +11,10 @@ follows the tear policy (`refuse` or `quarantine_with`) the store names.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence, Union
 
@@ -80,6 +76,8 @@ def positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
@@ -320,6 +318,10 @@ def run_pooled(
 def _run_on_pool(pending, task, worker, commit, workers, mp_context):
     """The pool half of `run_pooled`: returns the keys left for the serial
     path and the degradation records explaining why any were left."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         pool = ProcessPoolExecutor(
             max_workers=min(workers, len(pending)),

@@ -11,6 +11,7 @@ rendered from fragments, so they pin the old bytes.
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -315,3 +316,67 @@ class TestStreamedFingerprint:
             for key, items in lists.items()
         }
         assert fingerprint(payload, texts) == fingerprint({**payload, **lists})
+
+
+# ---------------------------------------------------------------------- #
+# Pickled configs keep their shared blocks
+# ---------------------------------------------------------------------- #
+
+
+def _shareable(block):
+    """Whether `shared_block` keeps ``block``'s choice in its table."""
+    e = block.expand_ratio
+    return type(block.kernel_size) is int and (
+        e is None or (type(e) is float and math.isfinite(e) and e != 0.0)
+    )
+
+
+class TestPickledBlocks:
+    """A spawn pool worker hands its configs back pickled: they must come
+    back holding the table's blocks, or render through the dict path."""
+
+    def test_sampled_config_comes_back_with_the_table_blocks(self):
+        for spec in SPACES:
+            config = RandomSampler(spec, rng=0).sample()
+            back = pickle.loads(pickle.dumps(config))
+            assert back == config
+            for _, block in back.iter_blocks():
+                assert block is shared_block(block.kernel_size, block.expand_ratio)
+            assert back._joined(2) is not None
+            assert back.to_json() == config.to_json()
+
+    @settings(max_examples=200)
+    @given(hostile_configs())
+    def test_hostile_blocks_round_trip_equal_and_unshared(self, config):
+        back = pickle.loads(pickle.dumps(config))
+        for (_, block), (_, got) in zip(config.iter_blocks(), back.iter_blocks()):
+            assert type(got.kernel_size) is type(block.kernel_size)
+            assert type(got.expand_ratio) is type(block.expand_ratio)
+            assert _dumps(lambda: json.dumps(got.to_dict())) == _dumps(
+                lambda: json.dumps(block.to_dict())
+            )
+            if _shareable(block):
+                assert got is shared_block(block.kernel_size, block.expand_ratio)
+            else:
+                assert got is not shared_block(block.kernel_size, block.expand_ratio)
+        _assert_config_exact(back)
+
+    def test_two_worker_densenet_campaign_matches_the_byte_locks(self, tmp_path):
+        """The serial DenseNet campaign's locks (`TestByteLocks`), from a
+        spawn pool whose configs come back shared."""
+        runner, result = _campaign(
+            densenet_space(), SimulatedDevice("rtx4090", seed=0), 11, 3, 5,
+            tmp_path, workers=2,
+        )
+        assert runner.fingerprint() == (
+            "c98444a1a8e84cc4b145e56fa8ffb73984b4453e127c4ee20521f736a0be7cc3"
+        )
+        assert _shard_digests(tmp_path) == {
+            "batch-0000.json": "0e1c0e38224f4c536f549926fead7a08dd63768866a2f8ad1a6ff6f71244d752",
+            "batch-0001.json": "c4d6e1c5d74b3e3c384303cb63effdec0b833e046eae8dd96fa9c59ceddd22af",
+            "batch-0002.json": "0c4ffe43ba76cfed78139ed724135c055f23a3eae977e86dd6cbdda8e60d5703",
+        }
+        assert result.report.degradations == []
+        for sample in result.dataset:
+            for _, block in sample.config.iter_blocks():
+                assert block is shared_block(block.kernel_size, block.expand_ratio)

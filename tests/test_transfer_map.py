@@ -5,9 +5,10 @@ behaviour the map's docstring promises:
 
 * the fitted map is non-decreasing *everywhere* — between knots, at
   knots, and in both clamped tails — for arbitrary paired samples,
-* when the fit comes out strictly increasing, ``apply`` preserves the
-  exact pairwise order (and hence the exact Kendall tau) of any queries
-  inside the knot range,
+* when the fit comes out strictly increasing, ``apply`` never reverses
+  the pairwise order of queries inside the knot range (it may tie two
+  queries that are closer than one output ulp), and keeps the exact
+  order and Kendall tau whenever it ties none,
 * ``to_dict`` -> JSON -> ``from_dict`` round-trips bit-identically,
 * PAVA is a pure function of the pair *multiset*: any permutation of
   the input pairs produces bit-identical knots.
@@ -20,7 +21,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import MonotoneLatencyMap, kendall_tau
@@ -87,6 +88,10 @@ class TestNonDecreasing:
 
 class TestOrderPreservation:
     @given(pairs=pairs, qs=queries)
+    @example(
+        pairs=[(1.0, 2.0), (1.0000000000000002e-06, 1.0)],
+        qs=[1.0, 1.0000000000000002e-06, 1e-06],
+    )
     @settings(max_examples=200, deadline=None)
     def test_strictly_increasing_map_preserves_exact_pairwise_order(
         self, pairs, qs
@@ -106,11 +111,22 @@ class TestOrderPreservation:
         out = fitted.apply(q)
         diff_in = np.sign(q[:, None] - q[None, :])
         diff_out = np.sign(out[:, None] - out[None, :])
-        assert np.array_equal(diff_in, diff_out)
-        # ... which is exactly "Kendall tau of the input ranking is
-        # preserved": mapped values correlate perfectly with the inputs.
-        if np.unique(q).size > 1:
-            assert kendall_tau(q, out) == pytest.approx(1.0)
+        # No pair is ever reversed.  Distinct queries may still tie in
+        # floating point: one input ulp near 1e-6 can map below one output
+        # ulp near 1.0 (the `@example`), so the order is exact only when
+        # the map introduced no new tie.
+        assert not np.any(diff_in * diff_out < 0)
+        no_new_ties = np.unique(out).size == np.unique(q).size
+        if no_new_ties:
+            assert np.array_equal(diff_in, diff_out)
+        # ... which is "Kendall tau of the input ranking is preserved":
+        # no discordant pair, so tau is positive, and exactly 1 without
+        # new ties.
+        if np.unique(out).size > 1:
+            tau = kendall_tau(q, out)
+            assert tau > 0
+            if no_new_ties:
+                assert tau == pytest.approx(1.0)
 
     @given(pairs=pairs)
     @settings(max_examples=100, deadline=None)

@@ -75,8 +75,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
         spearman kendall_tau""",
     ".nas": """SyntheticAccuracyProxy ParetoPoint ParetoFront
         displacement_metrics Candidate SearchResult RandomSearch
-        EvolutionarySearch SearchConstraints SearchCheckpointError SearchFleet
-        FleetResult""",
+        EvolutionarySearch SearchConstraints SearchCheckpointError""",
     ".serve": """PredictionServer PredictionResult ModelRegistry ModelEntry
         ServeKey MicroBatcher PredictionLRU CachedPrediction request_lines""",
     ".data": "LatencyDataset LatencySample DatasetError FORMAT_VERSION",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Any, Hashable, Optional
 
 __all__ = ["AnalyticalCache", "CacheInfo"]
 
@@ -51,13 +51,18 @@ class CacheInfo:
 
 
 class AnalyticalCache:
-    """Bounded LRU mapping ``cache_key -> float`` with hit/miss counters."""
+    """Bounded LRU mapping ``cache_key -> value`` with hit/miss counters.
+
+    The one LRU of the repo: the simulator stores floats in it, and the
+    prediction server's `repro.serve.cache.PredictionLRU` inherits it
+    unchanged to store `CachedPrediction` tuples.
+    """
 
     def __init__(self, maxsize: int = 4096):
         if maxsize < 0:
             raise ValueError("maxsize must be >= 0")
         self.maxsize = int(maxsize)
-        self._data: "OrderedDict[Hashable, float]" = OrderedDict()
+        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -67,7 +72,7 @@ class AnalyticalCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def get(self, key: Hashable) -> Optional[float]:
+    def get(self, key: Hashable) -> Optional[Any]:
         """The cached value, refreshed to most-recently-used, or None."""
         try:
             value = self._data[key]
@@ -78,7 +83,7 @@ class AnalyticalCache:
         self.hits += 1
         return value
 
-    def put(self, key: Hashable, value: float) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Store ``value``, evicting the least-recently-used entry if full."""
         if self.maxsize == 0:
             return

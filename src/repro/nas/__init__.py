@@ -12,11 +12,11 @@ Deployment-scale searching rides on top: `SearchConstraints` puts
 CNAS-style latency/params/FLOPs budgets on either driver (selection
 switches to the constrained-dominance sort), ``warm_start=`` seeds a new
 population from a previous front, ``checkpoint_dir=`` gives every search
-atomic per-generation checkpoints with byte-identical kill-and-resume,
-and `SearchFleet` (``python -m repro.nas.fleet``) runs N seeds in
-parallel and aggregates the fronts into median/IQR dispersion bands.
-The names resolve on first access (PEP 562), so running
-``python -m repro.nas.fleet`` does not find the module already imported.
+atomic per-generation checkpoints with byte-identical kill-and-resume.
+Seed dispersion is one such search per seed, each resuming through its
+own checkpoint directory.  The names resolve on first access (PEP 562),
+so ``python -m repro.nas.experiments`` does not find the module already
+imported.
 """
 
 from .. import _lazy_exports
@@ -29,5 +29,4 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     ".search": "Candidate SearchResult RandomSearch EvolutionarySearch",
     ".constraints": "SearchConstraints static_costs",
     ".checkpoint": "SearchCheckpoint SearchCheckpointError CheckpointState",
-    ".fleet": "SearchFleet FleetResult FleetError",
 })

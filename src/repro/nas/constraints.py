@@ -54,7 +54,7 @@ def static_costs(config: ArchConfig) -> NetworkCosts:
     """Memoised lowering + cost analysis of one architecture.
 
     Shared across every `SearchConstraints` instance (the costs depend
-    only on the config), sized for fleet-scale searches: tens of seeds
+    only on the config), sized for many seeded searches: tens of seeds
     times a few hundred distinct architectures each.
     """
     return network_costs(build_network(config))
@@ -126,7 +126,7 @@ class SearchConstraints:
         )
 
     # ------------------------------------------------------------------ #
-    # Serialisation (checkpoints, fleet manifests, reports)
+    # Serialisation (checkpoints, reports)
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict:

@@ -39,7 +39,7 @@ from ..core.loop import ESMLoop
 from ..hardware.simulator import SimulatedDevice
 from ..metrics import kendall_tau
 from ..predictors.oracle import DeviceOracle
-from ..utils import atomic_write_text
+from ..utils import atomic_write_text, positive_int
 from .constraints import (
     SearchConstraints,
     add_budget_arguments,
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--device", default="rtx4090")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     parser.add_argument(
         "--surrogates",
         nargs="+",

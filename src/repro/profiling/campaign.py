@@ -404,6 +404,12 @@ class CampaignRunner:
             self.store.save_manifest(manifest)
             return manifest
         stored = ReferenceSet.from_dict(manifest["references"])
+        if stored.configs != self.references.configs:
+            raise DatasetError(
+                f"manifest {self.store.manifest_path}: "
+                "manifest.references.configs: not this campaign's references "
+                f"({len(stored)} stored, {len(self.references)} expected)"
+            )
         if not stored.enrolled:
             # Crash between mkdir and enrollment: enroll now.
             self._enroll_references()

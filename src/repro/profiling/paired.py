@@ -2,22 +2,17 @@
 
 Cross-device transfer (``repro.transfer``) learns its monotone latency
 map from *pairs*: one architecture, one latency on the proxy device, one
-on the target.  `measure_paired` produces exactly that — the identical
-config list measured on both devices — in two flavours:
+on the target.  `measure_paired` produces exactly that: the identical
+config list measured on both devices, one `measure_batch` per device on
+seed-derived streams, as the budget-sweep experiments use.  A QC'd,
+resumable transfer is ``ESMLoop(transfer_from=...)``, whose target
+samples go through `CampaignRunner`.
 
-* **direct** (default): one `measure_batch` per device on seed-derived
-  streams.  Fast, in-memory, deterministic; what the budget-sweep
-  experiments use.
-* **campaign** (``workdir=`` given): one checkpointed, QC'd
-  `CampaignRunner` per device under ``workdir/proxy`` and
-  ``workdir/target``.  Slower, but inherits the full fault-tolerance
-  story — drift gates, retries, byte-identical resume after a kill.
-
-Either way the result is a `PairedMeasurementSet`: aligned latency
-arrays, ``prefix(n)`` views for nested budget sweeps (budget 25 is
-literally the first 25 pairs of budget 100 — how a real lab would grow a
-paired sample), versioned JSON persistence, and `LatencyDataset` views
-for anything downstream that speaks datasets.
+The result is a `PairedMeasurementSet`: aligned latency arrays,
+``prefix(n)`` views for nested budget sweeps (budget 25 is literally the
+first 25 pairs of budget 100 — how a real lab would grow a paired
+sample), versioned JSON persistence, and `LatencyDataset` views for
+anything downstream that speaks datasets.
 """
 
 from __future__ import annotations
@@ -25,16 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..archspace.config import ArchConfig
-from ..archspace.spaces import SpaceSpec
 from ..data.dataset import LatencyDataset, LatencySample
 from ..utils import atomic_write_text, load_json, require_header
 from .protocol import MeasurementProtocol
-from .reference import ReferenceSet
 
 __all__ = ["PairedMeasurementSet", "measure_paired", "PAIRED_FORMAT_VERSION"]
 
@@ -45,7 +38,6 @@ _KIND = "paired_measurements"
 _SLOT_PAIRED = 0x9A17
 _SLOT_PROXY = 0
 _SLOT_TARGET = 1
-_SLOT_REFERENCES = 2
 
 
 @dataclass(frozen=True)
@@ -200,20 +192,12 @@ def measure_paired(
     *,
     protocol: Optional[MeasurementProtocol] = None,
     seed: int = 0,
-    workdir: Optional[Union[str, Path]] = None,
-    spec: Optional[SpaceSpec] = None,
-    n_references: int = 2,
-    batch_size: int = 25,
 ) -> PairedMeasurementSet:
-    """Measure ``configs`` on both devices; see the module docstring.
+    """Measure ``configs`` on both devices.
 
-    Devices are registry names or instances.  Without ``workdir`` the
-    measurement is direct (`measure_batch` per device on seed-derived
-    streams); with it, each side runs a full checkpointed `CampaignRunner`
-    under ``workdir/proxy`` / ``workdir/target`` (``spec`` is then
-    required, for the QC reference models).  Both modes are deterministic
-    in ``(configs, seed)``; the campaign mode additionally resumes a
-    killed run byte-identically.
+    Devices are registry names or instances.  Each side runs one
+    `measure_batch` on its own seed-derived stream, so the result is
+    deterministic in ``(configs, seed)``.
     """
     configs = list(configs)
     if not configs:
@@ -221,76 +205,22 @@ def measure_paired(
     proxy = _as_device(proxy_device, seed)
     target = _as_device(target_device, seed)
     protocol = protocol or MeasurementProtocol()
-
-    if workdir is None:
-        proxy_lat, proxy_true = proxy.measure_batch(
-            configs,
-            rng=np.random.default_rng([seed, _SLOT_PAIRED, _SLOT_PROXY]),
-            protocol=protocol,
-        )
-        target_lat, target_true = target.measure_batch(
-            configs,
-            rng=np.random.default_rng([seed, _SLOT_PAIRED, _SLOT_TARGET]),
-            protocol=protocol,
-        )
-        return PairedMeasurementSet(
-            configs=tuple(configs),
-            proxy_device=_device_name(proxy),
-            target_device=_device_name(target),
-            proxy_latencies=proxy_lat,
-            target_latencies=target_lat,
-            proxy_true=proxy_true,
-            target_true=target_true,
-        )
-
-    if spec is None:
-        raise ValueError(
-            "campaign-mode paired measurement (workdir=...) needs spec= "
-            "for the QC reference models"
-        )
-    from .campaign import CampaignRunner
-
-    workdir = Path(workdir)
-    references = ReferenceSet.from_space(
-        spec,
-        k=n_references,
-        rng=np.random.default_rng([seed, _SLOT_PAIRED, _SLOT_REFERENCES]),
+    proxy_lat, proxy_true = proxy.measure_batch(
+        configs,
+        rng=np.random.default_rng([seed, _SLOT_PAIRED, _SLOT_PROXY]),
+        protocol=protocol,
     )
-    sides = {}
-    for slot, (label, device) in enumerate(
-        (("proxy", proxy), ("target", target))
-    ):
-        campaign_seed = int(
-            np.random.default_rng([seed, _SLOT_PAIRED, 10 + slot]).integers(
-                2**31 - 1
-            )
-        )
-        result = CampaignRunner(
-            device,
-            configs,
-            workdir / label,
-            references,
-            protocol=protocol,
-            batch_size=batch_size,
-            seed=campaign_seed,
-            sleep=lambda s: None,
-        ).run()
-        sides[label] = result.measurements
-    proxy_ds: LatencyDataset = sides["proxy"]
-    target_ds: LatencyDataset = sides["target"]
-
-    def _true_or_none(ds: LatencyDataset) -> Optional[np.ndarray]:
-        values: List[Optional[float]] = [s.true_latency_s for s in ds]
-        if any(v is None for v in values):
-            return None
-        return np.array(values, dtype=float)
-
+    target_lat, target_true = target.measure_batch(
+        configs,
+        rng=np.random.default_rng([seed, _SLOT_PAIRED, _SLOT_TARGET]),
+        protocol=protocol,
+    )
     return PairedMeasurementSet(
         configs=tuple(configs),
         proxy_device=_device_name(proxy),
         target_device=_device_name(target),
-        proxy_latencies=proxy_ds.latencies,
-        target_latencies=target_ds.latencies,
-        proxy_true=_true_or_none(proxy_ds),
-        target_true=_true_or_none(target_ds),
+        proxy_latencies=proxy_lat,
+        target_latencies=target_lat,
+        proxy_true=proxy_true,
+        target_true=target_true,
     )

@@ -39,35 +39,48 @@ def load_models_dir(registry: ModelRegistry, models_dir: Path) -> int:
     return len(paths)
 
 
-async def serve(args: argparse.Namespace) -> int:
+# The flag behind each argument whose constructor check can refuse it;
+# each check's message starts with the argument's name.
+_FLAGS = {
+    "max_batch": "--max-batch",
+    "max_wait_s": "--max-wait-ms",
+    "cache_size": "--cache-size",
+    "interval_s": "--poll-interval",
+}
+
+
+async def serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     registry = ModelRegistry()
+    try:
+        server = PredictionServer(
+            registry,
+            max_batch=args.max_batch,
+            max_wait_s=args.max_wait_ms / 1e3,
+            cache_size=args.cache_size,
+        )
+        poller = server.start_polling(args.poll_interval)
+    except ValueError as exc:  # the constructors' own checks
+        parser.error(f"argument {_FLAGS[str(exc).split()[0]]}: {exc}")
     models_dir = Path(args.models)
     try:
-        n = load_models_dir(registry, models_dir)
-    except ValueError as exc:  # names the file and the field
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if n == 0:
-        print(f"no *.json model payloads found in {models_dir}", file=sys.stderr)
-        return 1
+        try:
+            n = load_models_dir(registry, models_dir)
+        except ValueError as exc:  # names the file and the field
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if n == 0:
+            print(f"no *.json model payloads found in {models_dir}", file=sys.stderr)
+            return 1
 
-    server = PredictionServer(
-        registry,
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
-        cache_size=args.cache_size,
-    )
-    tcp = await server.start_tcp(args.host, args.port)
-    poller = server.start_polling(args.poll_interval)
-    port = tcp.sockets[0].getsockname()[1]
-    for entry in registry.describe():
-        print(f"serving {entry['key']} (kind={entry['kind']}, v{entry['version']})")
-    print(
-        f"listening on {args.host}:{port} "
-        f"(max_batch={args.max_batch}, max_wait={args.max_wait_ms}ms, "
-        f"cache={args.cache_size}, poll={args.poll_interval}s)"
-    )
-    try:
+        tcp = await server.start_tcp(args.host, args.port)
+        port = tcp.sockets[0].getsockname()[1]
+        for entry in registry.describe():
+            print(f"serving {entry['key']} (kind={entry['kind']}, v{entry['version']})")
+        print(
+            f"listening on {args.host}:{port} "
+            f"(max_batch={args.max_batch}, max_wait={args.max_wait_ms}ms, "
+            f"cache={args.cache_size}, poll={args.poll_interval}s)"
+        )
         async with tcp:
             await tcp.serve_forever()
     except asyncio.CancelledError:  # pragma: no cover - Ctrl-C path
@@ -100,7 +113,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        return asyncio.run(serve(args))
+        return asyncio.run(serve(args, parser))
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         return 0
 

@@ -42,7 +42,7 @@ class MicroBatcher:
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0:
+        if not max_wait_s >= 0:  # NaN too
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self._flush_fn = flush_fn
         self.max_batch = int(max_batch)

@@ -9,19 +9,18 @@ keyed on `ArchConfig.cache_key()`, and stores the predicted latency
 *together with the model version and batch sequence* that produced it, so
 cached responses carry exactly the same provenance as computed ones.
 
-The shape mirrors `repro.hardware.cache.AnalyticalCache` (bounded LRU,
-hit/miss counters, ``maxsize=0`` disables) and reuses its `CacheInfo`
-snapshot; the difference is the structured value.  The server keeps one
-instance per registry key and replaces it wholesale on hot-swap, which is
-both the invalidation story and a pointer flip — no lock, no sweep.
+The LRU itself is `repro.hardware.cache.AnalyticalCache` (bounded,
+hit/miss counters, ``maxsize=0`` disables, `CacheInfo` snapshots); only
+the stored value differs.  The server keeps one instance per registry
+key and replaces it wholesale on hot-swap, which is both the
+invalidation story and a pointer flip — no lock, no sweep.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, NamedTuple, Optional
+from typing import NamedTuple
 
-from ..hardware.cache import CacheInfo
+from ..hardware.cache import AnalyticalCache
 
 __all__ = ["CachedPrediction", "PredictionLRU"]
 
@@ -34,51 +33,5 @@ class CachedPrediction(NamedTuple):
     batch_seq: int
 
 
-class PredictionLRU:
+class PredictionLRU(AnalyticalCache):
     """Bounded LRU mapping ``cache_key -> CachedPrediction`` with counters."""
-
-    def __init__(self, maxsize: int = 4096):
-        if maxsize < 0:
-            raise ValueError("maxsize must be >= 0")
-        self.maxsize = int(maxsize)
-        self._data: "OrderedDict[Hashable, CachedPrediction]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    def get(self, key: Hashable) -> Optional[CachedPrediction]:
-        """The cached prediction, refreshed to most-recently-used, or None."""
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: Hashable, value: CachedPrediction) -> None:
-        """Store ``value``, evicting the least-recently-used entry if full."""
-        if self.maxsize == 0:
-            return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry; counters keep accumulating across clears."""
-        self._data.clear()
-
-    def info(self) -> CacheInfo:
-        return CacheInfo(
-            hits=self.hits,
-            misses=self.misses,
-            size=len(self._data),
-            maxsize=self.maxsize,
-        )

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
@@ -290,6 +291,10 @@ class PredictionServer:
 
     def start_polling(self, interval_s: float) -> "asyncio.Task":
         """Background task: `ModelRegistry.poll` every ``interval_s``."""
+        if not 0 < interval_s < math.inf:
+            raise ValueError(
+                f"interval_s must be positive and finite, got {interval_s}"
+            )
 
         async def poll_loop() -> None:
             while True:

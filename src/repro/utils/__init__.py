@@ -2,8 +2,8 @@
 typed JSON loads, fingerprinted manifests, and a process pool with a
 serial fallback.
 
-The manifest helpers own the fingerprinted directory that campaigns,
-search checkpoints and search fleets share: `fingerprint` hashes a
+The manifest helpers own the fingerprinted directory that campaigns and
+search checkpoints share: `fingerprint` hashes a
 store's identity, `read_manifest` parses and checks the manifest and
 refuses a foreign fingerprint, `write_manifest` writes it, and a torn one
 follows the tear policy (`refuse` or `quarantine_with`) the store names.

@@ -92,3 +92,9 @@ class TestCLIValidation:
                 main(["--smoke", flag, "-1.0"])
             assert excinfo.value.code == 2
             assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_non_positive_workers_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "argument --workers: " in capsys.readouterr().err

@@ -471,6 +471,17 @@ def _set_batch(value):
     return lambda m: m["batches"].__setitem__("0", value)
 
 
+def _references(indices):
+    """Store the references (with their baselines) at ``indices``."""
+
+    def mutate(m):
+        refs = m["references"]
+        for key in ("configs", "baselines"):
+            refs[key] = [refs[key][i] for i in indices]
+
+    return mutate
+
+
 class TestTornManifestBody:
     """A manifest whose fingerprint matches but whose body is torn is
     refused with a `DatasetError` naming the field; nothing is moved."""
@@ -489,6 +500,10 @@ class TestTornManifestBody:
                 lambda m: m["references"].update(baselines=[None, None]),
                 "manifest.references",
             ),
+            # Not the runner's two references: longer, shorter, foreign.
+            (_references([0, 1, 0]), "manifest.references.configs"),
+            (_references([0]), "manifest.references.configs"),
+            (_references([1, 1]), "manifest.references.configs"),
             (lambda m: m.pop("batches"), "manifest.batches"),
             (_set("batches", []), "manifest.batches"),
             (_set_batch("x"), "manifest.batches.0"),

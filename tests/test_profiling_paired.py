@@ -202,33 +202,3 @@ class TestPersistence:
                 proxy_latencies=paired.proxy_latencies[:-1],
                 target_latencies=paired.target_latencies,
             )
-
-
-class TestCampaignMode:
-    def test_campaign_mode_matches_direct_shape(self, spec, configs, tmp_path):
-        paired = measure_paired(
-            configs[:6],
-            "rtx4090",
-            "raspberrypi4",
-            protocol=PROTOCOL,
-            seed=1,
-            workdir=tmp_path / "camp",
-            spec=spec,
-        )
-        assert len(paired) == 6
-        assert (tmp_path / "camp" / "proxy").is_dir()
-        assert (tmp_path / "camp" / "target").is_dir()
-        assert np.isfinite(paired.proxy_latencies).all()
-        assert paired.proxy_true is not None
-        assert paired.target_true is not None
-
-    def test_campaign_mode_requires_spec(self, configs, tmp_path):
-        with pytest.raises(ValueError, match="spec"):
-            measure_paired(
-                configs[:4],
-                "rtx4090",
-                "raspberrypi4",
-                protocol=PROTOCOL,
-                seed=1,
-                workdir=tmp_path / "camp2",
-            )

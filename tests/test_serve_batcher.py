@@ -150,3 +150,5 @@ class TestFailureModes:
             MicroBatcher(lambda k, i: i, max_batch=0)
         with pytest.raises(ValueError, match="max_wait_s"):
             MicroBatcher(lambda k, i: i, max_wait_s=-1.0)
+        with pytest.raises(ValueError, match="max_wait_s"):
+            MicroBatcher(lambda k, i: i, max_wait_s=float("nan"))

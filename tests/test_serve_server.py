@@ -410,3 +410,29 @@ class TestCli:
     def test_main_refuses_empty_models_dir(self, tmp_path, capsys):
         assert main(["--models", str(tmp_path)]) == 1
         assert "no *.json model payloads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-batch", "0"),
+            ("--max-wait-ms", "-1"),
+            ("--cache-size", "-1"),
+            ("--poll-interval", "0"),
+            ("--poll-interval", "-1"),
+        ],
+    )
+    def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # The constructors' own check, reported against the flag, before
+        # any model is loaded.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--models", str(tmp_path), flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("inf"), float("nan")])
+    def test_polling_refuses_a_bad_interval(self, interval):
+        server = PredictionServer(ModelRegistry())
+        with pytest.raises(ValueError, match="interval_s must be positive"):
+            server.start_polling(interval)

@@ -1,7 +1,7 @@
-"""Pinned campaign, search and fleet fingerprints.
+"""Pinned campaign and search fingerprints.
 
 A store refuses a directory whose manifest fingerprint differs from its
-own, so a change to how any of the three hashes its identity would strand
+own, so a change to how either hashes its identity would strand
 every directory written before it.  The digests below were recorded
 before the stores shared one fingerprint helper; this file imports
 nothing newer than that so it runs against either side of the change.
@@ -22,7 +22,6 @@ from repro import (
     SyntheticAccuracyProxy,
     resnet_space,
 )
-from repro.nas.fleet import SearchFleet
 
 CONSTRAINTS = SearchConstraints(max_latency_s=0.0009)
 
@@ -63,18 +62,4 @@ class TestPinnedFingerprints:
         rand = RandomSearch(spec, oracle, proxy, budget=12, seed=11)
         assert rand.fingerprint() == (
             "392a7311e6b0db5eacd6d5279914d47d9362a69bbf0474c0171bf9b220f330c5"
-        )
-
-    def test_fleet(self, harness):
-        spec, device, proxy = harness
-        fleet = SearchFleet(
-            spec,
-            DeviceOracle(device),
-            proxy,
-            search_params={"population_size": 6, "generations": 2},
-            seeds=[3, 1, 2],
-            constraints=CONSTRAINTS,
-        )
-        assert fleet.fingerprint() == (
-            "52d0ca2793de8e38cb0d519127c91ac35a34c304ecdb17fbc28b193eb29f75d8"
         )

@@ -1,6 +1,6 @@
 """The shared fingerprinted-directory helper in `repro.utils`.
 
-Campaigns, search checkpoints and search fleets hash their identity with
+Campaigns and search checkpoints hash their identity with
 `fingerprint`, read their manifest with `read_manifest` under a named
 tear policy, and write it with `write_manifest`.
 """
@@ -81,6 +81,21 @@ class TestReadManifest:
             "manifest.json.corrupt",
             "step_00000.json.corrupt",
         ]
+
+    def test_repeated_tears_keep_every_quarantined_file(self, tmp_path):
+        # A repeated corruption of the same file never overwrites the
+        # evidence of an earlier one.
+        path = tmp_path / "manifest.json"
+        for text in TORN[:3]:
+            path.write_text(text)
+            assert read(path, quarantine_with(lambda: [])) is None
+        quarantined = sorted(tmp_path.iterdir())
+        assert [p.name for p in quarantined] == [
+            "manifest.json.corrupt",
+            "manifest.json.corrupt1",
+            "manifest.json.corrupt2",
+        ]
+        assert [p.read_text() for p in quarantined] == TORN[:3]
 
     def test_schema_rejection_is_a_tear(self, tmp_path):
         path = tmp_path / "manifest.json"

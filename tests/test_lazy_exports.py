@@ -141,3 +141,28 @@ def test_load_predictor_imports_only_the_payloads_kind(tmp_path):
     )
     members = [m for m in loaded if m.startswith("repro.predictors.")]
     assert members == ["repro.predictors.linear", "repro.predictors.protocol"]
+
+
+@pytest.mark.parametrize(
+    "cli",
+    [
+        "repro.serve",
+        "repro.core.experiments",
+        "repro.nas.experiments",
+        "repro.transfer.experiments",
+    ],
+)
+def test_cli_runs_as_a_module_without_a_runpy_warning(cli):
+    """``python -m <cli>`` executes one copy of the module: no package
+    above it imports it first, so runpy has nothing to warn about (and
+    warnings are errors here)."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", cli, "--help"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: ")

@@ -19,8 +19,10 @@ Also covers the quarantine bookkeeping itself: corrupt files are renamed
 """
 
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -301,3 +303,134 @@ class TestResumeIsIncremental:
         resumed = evo(harness, oracle=counting, checkpoint_dir=ckpt).run()
         assert resumed.to_json() == evo_baseline
         assert counting.calls == 0
+
+
+SEEDS = [3, 1, 2]
+LOOP_PARAMS = dict(population_size=6, generations=2)
+BUDGET = SearchConstraints(max_latency_s=0.0009)
+
+
+def seed_loop(harness, root, seeds=SEEDS, *, oracles=None, driver=EvolutionarySearch):
+    """README's seed-dispersion loop: one checkpointed search per seed, each
+    in its own directory (``root=None``: no checkpoints).  ``oracles`` maps
+    a seed to the oracle its search uses."""
+    spec, oracle, proxy = harness
+    params = LOOP_PARAMS if driver is EvolutionarySearch else dict(budget=12)
+    return {
+        s: driver(
+            spec,
+            (oracles or {}).get(s, oracle),
+            proxy,
+            seed=s,
+            constraints=BUDGET,
+            checkpoint_dir=None if root is None else root / f"seed_{s}",
+            **params,
+        ).run()
+        for s in seeds
+    }
+
+
+def as_json(results):
+    return {s: r.to_json() for s, r in results.items()}
+
+
+def counting(harness, seeds=SEEDS):
+    return {s: DyingOracle(harness[1], fuse=10_000) for s in seeds}
+
+
+@pytest.fixture(scope="module")
+def loop_baseline(harness):
+    return as_json(seed_loop(harness, None))
+
+
+class TestSeedLoop:
+    """Seed dispersion is one checkpointed search per seed: each seed's
+    directory resumes on its own, and nothing in one touches another."""
+
+    def test_rerun_replays_every_seed_without_oracle_calls(
+        self, harness, loop_baseline, tmp_path
+    ):
+        assert as_json(seed_loop(harness, tmp_path)) == loop_baseline
+        oracles = counting(harness)
+        again = seed_loop(harness, tmp_path, oracles=oracles)
+        assert as_json(again) == loop_baseline
+        assert [o.calls for o in oracles.values()] == [0, 0, 0]
+
+    def test_results_do_not_depend_on_loop_order(
+        self, harness, loop_baseline, tmp_path
+    ):
+        reversed_loop = seed_loop(harness, tmp_path, seeds=SEEDS[::-1])
+        assert as_json(reversed_loop) == loop_baseline
+
+    def test_losing_one_seed_directory_recomputes_only_that_seed(
+        self, harness, loop_baseline, tmp_path
+    ):
+        seed_loop(harness, tmp_path)
+        shutil.rmtree(tmp_path / "seed_1")
+        oracles = counting(harness)
+        assert as_json(seed_loop(harness, tmp_path, oracles=oracles)) == loop_baseline
+        # One batch call per generation, plus the initial population.
+        assert {s: o.calls for s, o in oracles.items()} == {3: 0, 1: 3, 2: 0}
+
+    def test_torn_step_stays_inside_its_seed_directory(
+        self, harness, loop_baseline, tmp_path
+    ):
+        seed_loop(harness, tmp_path)
+        victim = tmp_path / "seed_2" / "step_00002.json"
+        victim.write_text(victim.read_text()[:40])
+        assert as_json(seed_loop(harness, tmp_path)) == loop_baseline
+        assert corrupt_files(tmp_path / "seed_2") == ["step_00002.json.corrupt"]
+        assert corrupt_files(tmp_path / "seed_1") == []
+        assert corrupt_files(tmp_path / "seed_3") == []
+
+    def test_step_torn_three_times_keeps_every_quarantined_file(
+        self, harness, loop_baseline, tmp_path
+    ):
+        seed_loop(harness, tmp_path, seeds=[3])
+        victim = tmp_path / "seed_3" / "step_00002.json"
+        whole = json.loads(victim.read_text())
+        torn = [
+            victim.read_text()[:40],
+            "{}",
+            json.dumps({**whole, "step": 7}, sort_keys=True),
+        ]
+        for text in torn:
+            victim.write_text(text)
+            resumed = seed_loop(harness, tmp_path, seeds=[3])
+            assert resumed[3].to_json() == loop_baseline[3]
+        quarantined = sorted((tmp_path / "seed_3").glob("step_00002.json.corrupt*"))
+        assert [p.name for p in quarantined] == [
+            "step_00002.json.corrupt",
+            "step_00002.json.corrupt1",
+            "step_00002.json.corrupt2",
+        ]
+        assert [p.read_text() for p in quarantined] == torn
+
+    def test_every_seed_front_meets_the_budget(self, harness, tmp_path):
+        for seed, result in seed_loop(harness, tmp_path).items():
+            assert result.seed == seed
+            assert result.feasible_evaluations > 0
+            for point in result.front:
+                assert BUDGET.violation(point.config, point.latency_s) == 0.0
+
+    def test_hypervolume_dispersion_over_seeds(self, harness, tmp_path):
+        proxy = harness[2]
+        results = list(seed_loop(harness, tmp_path).values())
+        worst = max(c.latency_s for r in results for c in r.evaluated)
+        hv = [r.front.hypervolume(1.1 * worst, proxy.floor - 1.0) for r in results]
+        assert all(v > 0 for v in hv)
+        q25, q50, q75 = np.percentile(hv, [25, 50, 75])
+        assert min(hv) <= q25 <= q50 <= q75 <= max(hv)
+        # A replayed loop reports the same dispersion, bit for bit.
+        replayed = list(seed_loop(harness, tmp_path).values())
+        assert [
+            r.front.hypervolume(1.1 * worst, proxy.floor - 1.0) for r in replayed
+        ] == hv
+
+    def test_random_search_seed_loop_replays(self, harness, tmp_path):
+        fresh = as_json(seed_loop(harness, None, driver=RandomSearch))
+        assert as_json(seed_loop(harness, tmp_path, driver=RandomSearch)) == fresh
+        oracles = counting(harness)
+        again = seed_loop(harness, tmp_path, oracles=oracles, driver=RandomSearch)
+        assert as_json(again) == fresh
+        assert [o.calls for o in oracles.values()] == [0, 0, 0]

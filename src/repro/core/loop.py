@@ -14,16 +14,20 @@ Determinism and resumability are inherited from the layers below: every
 RNG is derived from ``(config.seed, slot, iteration)``, and every
 measurement goes through a `CampaignRunner` whose shards are
 byte-identical across serial, parallel, and interrupted-then-resumed
-executions.  Re-running `ESMLoop.run` over an existing ``run_dir``
-therefore recomputes the cheap parts (sampling, training, evaluation) and
-reuses every completed measurement batch — a loop killed mid-extension
-finishes with exactly the bytes an uninterrupted run would have written.
-A ``run_dir`` holding campaigns from a *different* config is refused via
-the campaign fingerprint rather than silently mixed.
+executions.  Re-running `ESMLoop.run` over a *finished* ``run_dir``
+(report, dataset and predictor all load, and the report's config is this
+one) loads that run and fits nothing.  Over any other ``run_dir`` it
+recomputes sampling, training and evaluation — training dominates: every
+iteration refits the predictor — and reuses every completed measurement
+batch, so a loop killed mid-extension finishes with exactly the bytes an
+uninterrupted run would have written.  A ``run_dir`` holding campaigns
+from a *different* config is refused via the campaign fingerprint rather
+than silently mixed.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -265,8 +269,33 @@ class ESMLoop:
     # The loop
     # ------------------------------------------------------------------ #
 
+    def _finished_run(self) -> Optional[ESMRunResult]:
+        """The run ``run_dir`` already holds, if it finished under this config.
+
+        None when any of its three files is missing, torn, or written
+        under another config: `run` then resumes from the campaigns.
+        """
+        names = (REPORT_FILENAME, DATASET_FILENAME, PREDICTOR_FILENAME)
+        if not all((self.run_dir / name).is_file() for name in names):
+            return None
+        try:
+            finished = load_run(self.run_dir)
+        except ValueError:
+            return None
+        # Through JSON, as the stored config went: tuples become lists.
+        config = json.loads(json.dumps(self.config.to_dict()))
+        if finished.report.config != config:
+            return None
+        return finished
+
     def run(self) -> ESMRunResult:
-        """Run (or resume) Algorithm 1 to convergence or budget."""
+        """Run (or resume) Algorithm 1 to convergence or budget.
+
+        A ``run_dir`` this config already finished is loaded, not rerun.
+        """
+        finished = self._finished_run()
+        if finished is not None:
+            return finished
         started = time.monotonic()
         cfg = self.config
         encoding = encoder_for(cfg.encoding, self.spec)

@@ -70,6 +70,10 @@ class Predictor(Protocol):
 def validate_fit_inputs(X, y, owner=None) -> "tuple[np.ndarray, np.ndarray]":
     """Coerce to float64 and check the `(n, d)` / `(n,)` shape contract.
 
+    Every entry must be finite: one NaN or inf would otherwise train a
+    surrogate that predicts NaN.  The `ValueError` names the first bad
+    entry (``X[0, 1]``, ``y[3]``).
+
     When ``owner`` (the predictor being fitted) is given, the training
     feature width is recorded on it so ``predict`` can reject mismatched
     matrices with a clear error instead of a shape-broadcast traceback.
@@ -80,6 +84,15 @@ def validate_fit_inputs(X, y, owner=None) -> "tuple[np.ndarray, np.ndarray]":
         raise ValueError("X must be (n, d) with one target per row")
     if X.shape[0] == 0:
         raise ValueError("fit needs at least one sample")
+    for name, array in (("X", X), ("y", y)):
+        finite = np.isfinite(array)
+        if not finite.all():
+            index = tuple(np.argwhere(~finite)[0])
+            where = ", ".join(str(i) for i in index)
+            raise ValueError(
+                f"{name}[{where}]: {array[index]} is not finite "
+                "(fit needs finite inputs)"
+            )
     if owner is not None:
         owner._n_features_in = X.shape[1]
     return X, y

@@ -1,4 +1,5 @@
-"""Shared fixtures: Table I specs and a small measured ResNet dataset."""
+"""Shared fixtures: Table I specs, a small measured ResNet dataset, and a
+spy on MLP fits."""
 
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from repro import (
     LatencyDataset,
     LatencySample,
+    MLPPredictor,
     RandomSampler,
     SimulatedDevice,
     densenet_space,
@@ -16,6 +18,20 @@ from repro import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def mlp_fits(monkeypatch):
+    """The ``epochs`` of every `MLPPredictor.fit` call the test makes."""
+    fits = []
+    original = MLPPredictor.fit
+
+    def counted(self, X, y):
+        fits.append(self.epochs)
+        return original(self, X, y)
+
+    monkeypatch.setattr(MLPPredictor, "fit", counted)
+    return fits
 
 
 @pytest.fixture(scope="session")

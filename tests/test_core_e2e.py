@@ -8,6 +8,7 @@ pool, and whether or not the run was killed mid-extension and resumed.
 """
 
 import multiprocessing
+import shutil
 
 import numpy as np
 import pytest
@@ -141,11 +142,27 @@ class TestByteIdentity:
         make_loop(resume_dir).run()
         assert artifact_bytes(resume_dir) == artifact_bytes(serial_run.run_dir)
 
-    def test_rerun_over_finished_dir_reproduces_bytes(self, serial_run):
+    def test_rerun_over_finished_dir_reproduces_bytes(
+        self, serial_run, mlp_fits
+    ):
         before = artifact_bytes(serial_run.run_dir)
         again = make_loop(serial_run.run_dir).run()
         assert again.report.converged
         assert artifact_bytes(serial_run.run_dir) == before
+        # A finished run is loaded, not retrained.
+        assert mlp_fits == []
+        assert again.report.to_dict() == serial_run.report.to_dict()
+
+    def test_rerun_over_torn_predictor_refits_to_same_bytes(
+        self, serial_run, tmp_path, mlp_fits
+    ):
+        torn_dir = tmp_path / "torn"
+        shutil.copytree(serial_run.run_dir, torn_dir)
+        predictor_path = torn_dir / "predictor.json"
+        predictor_path.write_bytes(predictor_path.read_bytes()[:100])
+        make_loop(torn_dir).run()
+        assert len(mlp_fits) == serial_run.report.n_iterations
+        assert artifact_bytes(torn_dir) == artifact_bytes(serial_run.run_dir)
 
 
 class TestProvenanceRoundTrip:

@@ -7,6 +7,7 @@ test_core_e2e.py.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -227,6 +228,24 @@ class TestLoopStructure:
 
     def test_references_excluded_from_training_data(self, cheap_run):
         assert all(not s.is_reference for s in cheap_run.dataset)
+
+    @pytest.mark.parametrize("change", ["dataset_missing", "other_epochs"])
+    def test_rerun_over_unfinished_or_other_run_refits(
+        self, cheap_run, change, tmp_path, mlp_fits
+    ):
+        """Only a complete run under the same config is loaded as is."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(cheap_run.run_dir, run_dir)
+        config = ESMConfig(**CHEAP)
+        if change == "dataset_missing":
+            (run_dir / DATASET_FILENAME).unlink()
+        else:
+            config = ESMConfig(**{**CHEAP, "predictor_params": {"epochs": 61}})
+        result = ESMLoop(config, run_dir, sleep=lambda s: None).run()
+        assert mlp_fits == [config.predictor_params["epochs"]] * len(
+            result.report.iterations
+        )
+        assert load_run(run_dir).report.config == config.to_dict()
 
     def test_mismatched_run_dir_refused(self, cheap_run):
         other = ESMConfig(**{**CHEAP, "seed": 12})

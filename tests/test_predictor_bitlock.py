@@ -11,8 +11,12 @@ The ``as`` payload also carries the raced CV's diagnostics (the bound an
 eliminated member was dropped at, the folds each member ran), so its
 fitted winner is locked separately: the nested ``model`` payload digest
 below was recorded before CV was raced and must never move with the
-racing rule.  Re-record the digests only after an *intentional* change to
-fitted values::
+racing rule.  ``MLP_EDGE_CASES`` locks the MLP step kernel's edge paths
+on their own: a ragged last batch, fewer rows than one batch, a single
+row, a narrow hidden layer, no weight decay, an early stop, and enough
+Adam steps that the first-moment bias correction divides by exactly 1.0.
+Re-record the digests only after an *intentional* change to fitted
+values::
 
     PYTHONPATH=src python tests/test_predictor_bitlock.py
 """
@@ -64,6 +68,28 @@ EXPECTED_AS_MODEL_SHA256 = (
 )
 
 
+# MLP step-kernel edge paths: name -> (leading bitlock rows, kwargs).
+MLP_EDGE_CASES = {
+    "ragged_batch": (75, {"epochs": 20}),  # 64 + a last batch of 11
+    "rows_below_batch": (40, {"epochs": 20}),
+    "single_row": (1, {"epochs": 20}),
+    "hidden_8": (90, {"epochs": 20, "hidden_dim": 8}),
+    "no_weight_decay": (90, {"epochs": 20, "weight_decay": 0.0}),
+    "early_stop": (90, {"epochs": 200, "patience": 2, "tol": 1e-3}),
+    "bias_corrected": (90, {"epochs": 200}),  # 400 steps: 1 - 0.9**t == 1.0
+}
+
+EXPECTED_MLP_EDGE_SHA256 = {
+    "bias_corrected": "6f3ee5d41e172bed8d1c5344d07be0a101d2c40812392491ed111b08ba7dda84",
+    "early_stop": "cb5f9c8b1bd6a5bab8911292ce64b096067415b0e97e9cb41087d1618bb90e23",
+    "hidden_8": "7ae0f3218fae903b456304138e208f71719e2579334a221c417e5989eb42b0d3",
+    "no_weight_decay": "65a380ecbf99077708063ca970590d4c7ecc8efec96c7691769eac54f862b94c",
+    "ragged_batch": "6b7f5f9fad780450b423c8a5d2e5236be31586426ef54d588f9f154b15e5c407",
+    "rows_below_batch": "d53671d46a1a49315fe1ff99c4e7dd88e0b9890812f774683ed10f03580cc796",
+    "single_row": "21424adba035ecaa6f844c6986347862fc4db2bb4a3a3dbee674fbc816bc9bd3",
+}
+
+
 def bitlock_data():
     """90 seeded ResNet measurements on the simulated RTX 4090, FCC-encoded."""
     spec = resnet_space()
@@ -84,6 +110,11 @@ def bitlock_data():
         ]
     )
     return dataset.encode("fcc", spec), dataset.latencies
+
+
+def mlp_edge_predictor(case, X, y):
+    rows, kwargs = MLP_EDGE_CASES[case]
+    return get_predictor("mlp", seed=3, **kwargs).fit(X[:rows], y[:rows])
 
 
 def bitlock_payload(name, X, y):
@@ -111,9 +142,31 @@ def test_as_nested_winner_payload_is_locked(data):
     assert sha256_json(model) == EXPECTED_AS_MODEL_SHA256
 
 
+@pytest.mark.parametrize("case", sorted(MLP_EDGE_CASES))
+def test_mlp_edge_path_payload_is_locked(case, data):
+    predictor = mlp_edge_predictor(case, *data)
+    assert sha256_json(predictor.to_payload()) == EXPECTED_MLP_EDGE_SHA256[case]
+
+
+def test_mlp_edge_cases_reach_their_paths(data):
+    """The cases exercise what their names say, not an easier path."""
+    X, y = data
+    rows, kwargs = MLP_EDGE_CASES["early_stop"]
+    stopped = mlp_edge_predictor("early_stop", X, y)
+    assert len(stopped.loss_history_) < kwargs["epochs"]
+    rows, kwargs = MLP_EDGE_CASES["bias_corrected"]
+    steps = kwargs["epochs"] * -(-rows // 64)
+    assert 1 - 0.9**steps == 1.0 and steps > 355
+    assert MLP_EDGE_CASES["ragged_batch"][0] % 64 != 0
+    assert MLP_EDGE_CASES["rows_below_batch"][0] < 64
+
+
 if __name__ == "__main__":
     X, y = bitlock_data()
     for name in sorted(BITLOCK_PREDICTORS):
         print(f'    "{name}": "{sha256_json(bitlock_payload(name, X, y))}",')
     model = bitlock_payload("as", X, y)["state"]["model"]
     print(f'    as state.model: "{sha256_json(model)}"')
+    for case in sorted(MLP_EDGE_CASES):
+        payload = mlp_edge_predictor(case, X, y).to_payload()
+        print(f'    mlp edge "{case}": "{sha256_json(payload)}",')

@@ -7,6 +7,7 @@ cross-device transfer wrapper — against the exact protocol `ESMLoop`,
 
 * ``fit`` returns ``self``; ``predict`` yields a float64 1-D array, one
   finite value per row, and ``predict_one`` agrees with it,
+* a NaN or inf in ``X`` or ``y`` is a `ValueError` naming the entry,
 * seeded determinism: refits of identically-constructed predictors are
   bit-identical; different seeds genuinely differ where stochastic,
 * ``save`` -> ``load`` -> ``predict`` round-trips bit for bit, both via
@@ -110,6 +111,18 @@ class TestFitPredict:
             make(name).fit(X, y[:-1])  # length mismatch
         with pytest.raises(ValueError):
             make(name).fit(X[0], y[:1])  # 1-D design matrix
+
+    def test_non_finite_inputs_rejected(self, name, toy):
+        """One NaN or inf must not train a NaN surrogate silently."""
+        X, y = toy
+        bad_X = X.copy()
+        bad_X[0, 1] = np.inf
+        with pytest.raises(ValueError, match=r"X\[0, 1\]: inf"):
+            make(name).fit(bad_X, y)
+        bad_y = y.copy()
+        bad_y[3] = np.nan
+        with pytest.raises(ValueError, match=r"y\[3\]: nan"):
+            make(name).fit(X, bad_y)
 
     def test_empty_batch_predicts_empty(self, name, toy):
         """A 0-row batch (a micro-batcher flushing nothing) must not crash."""

@@ -183,6 +183,19 @@ class TestMLPHyperparameterValidation:
         with pytest.raises(ValueError, match="weight_decay"):
             MLPPredictor(weight_decay=value)
 
+    @pytest.mark.parametrize(
+        "field", ["hidden_dim", "epochs", "batch_size", "patience"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
+    def test_non_integer_sizes(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MLPPredictor(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+    def test_tol(self, value):
+        with pytest.raises(ValueError, match="tol"):
+            MLPPredictor(patience=3, tol=value)
+
     def test_boundary_values_accepted(self):
         X, y = _linear_toy(n=8)
         mlp = MLPPredictor(hidden_dim=1, epochs=1, batch_size=1, weight_decay=0.0)

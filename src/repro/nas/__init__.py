@@ -4,9 +4,9 @@ The consumer layer the ESM pipeline exists for: take a latency oracle (a
 fitted surrogate via `PredictorOracle`, or the device itself), pair it
 with the deterministic `SyntheticAccuracyProxy`, run `RandomSearch` /
 `EvolutionarySearch`, and quantify how far the surrogate displaced the
-Pareto front (`displacement_metrics`, Fig. 2b).  The experiments entry
-point (``python -m repro.nas.experiments``) wires the whole chain through
-`ESMLoop`-trained surrogates for every encoding.
+Pareto front (`displacement_metrics`, Fig. 2b).  The experiment
+(``python -m repro nas``, `repro.nas.experiments`) wires the whole chain
+through `ESMLoop`-trained surrogates for every encoding.
 
 Deployment-scale searching rides on top: `SearchConstraints` puts
 CNAS-style latency/params/FLOPs budgets on either driver (selection
@@ -14,9 +14,7 @@ switches to the constrained-dominance sort), ``warm_start=`` seeds a new
 population from a previous front, ``checkpoint_dir=`` gives every search
 atomic per-generation checkpoints with byte-identical kill-and-resume.
 Seed dispersion is one such search per seed, each resuming through its
-own checkpoint directory.  The names resolve on first access (PEP 562),
-so ``python -m repro.nas.experiments`` does not find the module already
-imported.
+own checkpoint directory.  The names resolve on first access (PEP 562).
 """
 
 from .. import _lazy_exports

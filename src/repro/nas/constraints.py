@@ -30,10 +30,9 @@ a config outside its family's schedule is rejected here with the same
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +42,6 @@ from ..network.builders import build_network
 
 __all__ = [
     "SearchConstraints",
-    "add_budget_arguments",
-    "constraints_from_args",
     "static_costs",
 ]
 
@@ -150,58 +147,10 @@ class SearchConstraints:
             ),
         )
 
-    def describe(self) -> str:
-        """Human-readable budget list, e.g. for CLI banners."""
-        parts: Tuple[str, ...] = tuple(
-            f"{label}<={value:g}"
-            for label, value in (
-                ("latency_s", self.max_latency_s),
-                ("params", self.max_params),
-                ("flops", self.max_flops),
-            )
-            if value is not None
-        )
-        return " ".join(parts) if parts else "unconstrained"
 
-
-# The budget flags the NAS command-line front ends share:
-# (SearchConstraints field, flag, help).
-_BUDGET_FLAGS = (
-    (
-        "max_latency_s",
-        "--max-latency",
-        "latency budget in seconds for constrained search",
-    ),
-    (
-        "max_params",
-        "--max-params",
-        "parameter-count budget for constrained search",
-    ),
-    ("max_flops", "--max-flops", "FLOPs budget for constrained search"),
+# The command line's budget flags: (SearchConstraints field, flag, help).
+BUDGET_FLAGS = (
+    ("max_latency_s", "--max-latency", "latency budget in seconds"),
+    ("max_params", "--max-params", "parameter-count budget"),
+    ("max_flops", "--max-flops", "FLOPs budget"),
 )
-
-
-def add_budget_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add ``--max-latency/--max-params/--max-flops`` to ``parser``."""
-    for _, flag, help_text in _BUDGET_FLAGS:
-        parser.add_argument(flag, type=float, default=None, help=help_text)
-
-
-def constraints_from_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> Optional[SearchConstraints]:
-    """The budgets parsed by `add_budget_arguments`; None when none is set.
-
-    An invalid budget (zero, negative, NaN) exits through
-    ``parser.error`` — exit status 2, with a message naming the flag —
-    instead of a traceback.
-    """
-    budgets = {}
-    for field, flag, _ in _BUDGET_FLAGS:
-        budgets[field] = getattr(args, flag[2:].replace("-", "_"))
-        try:
-            SearchConstraints(**{field: budgets[field]})
-        except ValueError as exc:
-            parser.error(f"argument {flag}: {exc}")
-    constraints = SearchConstraints(**budgets)
-    return constraints if constraints.is_active else None

@@ -16,40 +16,34 @@ this experiment:
 
 The JSON report is deterministic by construction — every random draw is
 seed-derived, nothing wall-clock enters the payload — so two identical
-invocations produce byte-identical files::
+invocations produce byte-identical files.  Given a workdir, every ESM run
+and search keeps its state there, so a rerun over it resumes from disk and
+writes the same bytes::
 
-    PYTHONPATH=src python -m repro.nas.experiments --smoke
+    PYTHONPATH=src python -m repro nas --smoke
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from ..archspace.sampling import RandomSampler
-from ..archspace.spaces import SPACE_NAMES, space_by_name
+from ..archspace.spaces import space_by_name
 from ..core.config import ESMConfig
 from ..core.loop import ESMLoop
 from ..hardware.simulator import SimulatedDevice
 from ..metrics import kendall_tau
 from ..predictors.oracle import DeviceOracle
-from ..utils import atomic_write_text, positive_int
-from .constraints import (
-    SearchConstraints,
-    add_budget_arguments,
-    constraints_from_args,
-)
+from ..utils import run_dir
+from .constraints import SearchConstraints
 from .pareto import ParetoFront, ParetoPoint, displacement_metrics
 from .proxy import SyntheticAccuracyProxy
-from .search import EvolutionarySearch, RandomSearch, SearchResult
+from .search import EvolutionarySearch, RandomSearch
 
-__all__ = ["SURROGATES", "run_space", "format_report", "main"]
+__all__ = ["SURROGATES", "run_space", "run_experiment", "format_report"]
 
 NAS_REPORT_FORMAT_VERSION = 1
 
@@ -147,37 +141,22 @@ def _make_searches(
 ) -> dict:
     """Both drivers, identically parameterised.
 
-    ``checkpoint_root`` (set by ``--resume``) gives each driver its own
-    checkpoint directory under the workdir, so a killed experiment picks
-    every search up from its last completed generation/chunk.
+    With ``checkpoint_root`` each search checkpoints in
+    ``checkpoint_root/<driver>/<fingerprint>``: a rerun with the same
+    settings resumes it from its last completed generation/chunk, and one
+    with other budgets or another warm start starts afresh beside it.
     """
-    extra = dict(constraints=constraints, warm_start=warm_start)
-    return {
-        "random": RandomSearch(
-            spec,
-            oracle,
-            proxy,
-            seed=seed,
-            checkpoint_dir=(
-                None if checkpoint_root is None else checkpoint_root / "random"
-            ),
-            **extra,
-            **budgets["random"],
-        ),
+    extra = dict(seed=seed, constraints=constraints, warm_start=warm_start)
+    searches = {
+        "random": RandomSearch(spec, oracle, proxy, **extra, **budgets["random"]),
         "evolutionary": EvolutionarySearch(
-            spec,
-            oracle,
-            proxy,
-            seed=seed,
-            checkpoint_dir=(
-                None
-                if checkpoint_root is None
-                else checkpoint_root / "evolutionary"
-            ),
-            **extra,
-            **budgets["evolutionary"],
+            spec, oracle, proxy, **extra, **budgets["evolutionary"]
         ),
     }
+    if checkpoint_root is not None:
+        for driver, search in searches.items():
+            search.checkpoint_dir = checkpoint_root / driver / search.fingerprint()[:16]
+    return searches
 
 
 def _true_front_of_configs(
@@ -202,12 +181,11 @@ def run_space(
     device_name: str = "rtx4090",
     seed: int = 0,
     smoke: bool = False,
-    workdir: Union[str, Path],
+    workdir: Union[str, Path, None] = None,
     workers: int = 1,
     surrogates: Optional[Sequence[str]] = None,
     constraints: Optional[SearchConstraints] = None,
     warm_start=None,
-    resume: bool = False,
 ) -> dict:
     """The full per-space experiment; returns the report fragment.
 
@@ -216,8 +194,10 @@ def run_space(
     ``constraints`` puts the same deployment budgets on every search
     (true-latency references included, so displacement compares
     constrained front to constrained front); ``warm_start`` seeds every
-    search's initial population from a previous result; ``resume=True``
-    checkpoints each search under the (persistent) workdir.
+    search's initial population from a previous result.  With a
+    ``workdir`` every ESM run and search keeps its state there, so a rerun
+    over it resumes them; without one the ESM runs use scratch directories
+    and the searches keep no checkpoints.
     """
     spec = space_by_name(space)
     device = SimulatedDevice(device_name, seed=seed)
@@ -227,7 +207,7 @@ def run_space(
     search_kwargs = dict(constraints=constraints, warm_start=warm_start)
 
     def _checkpoint_root(label: str) -> Optional[Path]:
-        if not resume:
+        if workdir is None:
             return None
         return Path(workdir) / space / "search" / label
 
@@ -260,13 +240,14 @@ def run_space(
     oracles_report: Dict[str, dict] = {}
     for label, (predictor, encoding) in selected.items():
         config = _esm_config(space, device_name, predictor, encoding, seed, smoke)
-        result = ESMLoop(
-            config,
-            Path(workdir) / space / label,
-            device=device,
-            workers=workers,
-            sleep=lambda s: None,
-        ).run()
+        with run_dir(workdir, space, label) as root:
+            result = ESMLoop(
+                config,
+                root,
+                device=device,
+                workers=workers,
+                sleep=lambda s: None,
+            ).run()
         oracle = result.latency_oracle(spec=spec)
 
         surrogate_lat = oracle.latency_batch(sample)
@@ -368,12 +349,11 @@ def run_experiment(
     device_name: str = "rtx4090",
     seed: int = 0,
     smoke: bool = False,
-    workdir: Union[str, Path],
+    workdir: Union[str, Path, None] = None,
     workers: int = 1,
     surrogates: Optional[Sequence[str]] = None,
     constraints: Optional[SearchConstraints] = None,
     warm_start=None,
-    resume: bool = False,
 ) -> dict:
     """Run every requested space and assemble the deterministic report."""
     budgets = _search_budgets(smoke)
@@ -394,7 +374,6 @@ def run_experiment(
                 surrogates=surrogates,
                 constraints=constraints,
                 warm_start=warm_start,
-                resume=resume,
             )
             for space in spaces
         },
@@ -402,90 +381,3 @@ def run_experiment(
     if constraints is not None and constraints.is_active:
         report["constraints"] = constraints.to_dict()
     return report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.nas.experiments",
-        description="Pareto displacement and ranking preservation (Fig. 2b).",
-    )
-    parser.add_argument(
-        "--spaces",
-        nargs="+",
-        choices=SPACE_NAMES,
-        default=None,
-        help="spaces to run (default: resnet in --smoke, all otherwise)",
-    )
-    parser.add_argument("--device", default="rtx4090")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=positive_int, default=1)
-    parser.add_argument(
-        "--surrogates",
-        nargs="+",
-        choices=sorted(SURROGATES),
-        default=None,
-        help="surrogate labels to run (default: all, incl. the adaptive "
-        "switcher 'as')",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced budgets: finishes in well under a minute",
-    )
-    parser.add_argument(
-        "--out",
-        default="nas-report.json",
-        help="where to write the JSON report (default: ./nas-report.json)",
-    )
-    parser.add_argument(
-        "--workdir",
-        default=None,
-        help="ESM run-directory root, kept for resume (default: temporary)",
-    )
-    add_budget_arguments(parser)
-    parser.add_argument(
-        "--warm-start",
-        default=None,
-        help="path to a SearchResult JSON whose front seeds new searches",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="checkpoint every search under --workdir and resume from "
-        "whatever generations survive there (requires --workdir)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.resume and args.workdir is None:
-        parser.error("--resume requires --workdir")
-
-    constraints = constraints_from_args(args, parser)
-    warm_start = None
-    if args.warm_start is not None:
-        warm_start = SearchResult.load(args.warm_start)
-
-    spaces = args.spaces or (["resnet"] if args.smoke else list(SPACE_NAMES))
-    kwargs = dict(
-        device_name=args.device,
-        seed=args.seed,
-        smoke=args.smoke,
-        workers=args.workers,
-        surrogates=args.surrogates,
-        constraints=constraints,
-        warm_start=warm_start,
-        resume=args.resume,
-    )
-    if args.workdir is None:
-        with tempfile.TemporaryDirectory(prefix="esm-nas-") as tmp:
-            report = run_experiment(spaces, workdir=tmp, **kwargs)
-    else:
-        report = run_experiment(spaces, workdir=args.workdir, **kwargs)
-
-    atomic_write_text(Path(args.out), json.dumps(report, sort_keys=True))
-    print(format_report(report))
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())

@@ -79,3 +79,4 @@ class RidgePredictor(PredictorBase):
         self.coef_ = state_array(state["coef"], "state.coef", x_mean.shape)
         self._x_mean, self._x_std = x_mean, x_std
         self.intercept_ = float(state["intercept"])
+        self._n_features_in = x_mean.size

@@ -306,6 +306,7 @@ class MLPPredictor(PredictorBase):
                 for i, (a, shape) in enumerate(zip(state[field], shapes))
             ]
         self._x_mean, self._x_std, self._y_scale = x_mean, x_std, y_scale
+        self._n_features_in = x_mean.size
         self._weights, self._biases = arrays["weights"], arrays["biases"]
         self.loss_history_ = state_array(
             state["loss_history"], "state.loss_history"

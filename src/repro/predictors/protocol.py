@@ -133,9 +133,10 @@ class PredictorBase:
     # Each required ``state`` field and its JSON type (for `require`).
     STATE_FIELDS: Dict[str, Any] = {}
 
-    # Training feature width, recorded by `validate_fit_inputs(..., owner=self)`.
-    # ``None`` means unknown (e.g. a predictor restored from disk), in which
-    # case the width check is skipped rather than guessed at.
+    # Training feature width, recorded by `validate_fit_inputs(..., owner=self)`
+    # and restored by `_set_state` where the state fixes it.  ``None`` means
+    # unknown (a tree or LUT restored from disk), in which case the width
+    # check is skipped rather than guessed at.
     _n_features_in: Union[int, None] = None
 
     @property

@@ -265,6 +265,7 @@ class AdaptiveSwitchingPredictor(PredictorBase):
             self._model = predictor_from_payload(model)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"state.model: {exc}") from None
+        self._n_features_in = self._model.n_features_in_
         self.winner_ = winner
         self.cv_losses_ = cv_losses
         self.cv_folds_run_ = {name: folds_run[name] for name in self.zoo}

@@ -3,7 +3,7 @@
 One surrogate trained on a *proxy* device, adapted to each *target*
 device through a learned `MonotoneLatencyMap` — the "One Proxy Device Is
 Enough" recipe (PAPERS.md).  `TransferPredictor` packages the composition
-as a regular zoo member; ``python -m repro.transfer.experiments`` sweeps
+as a regular zoo member; ``python -m repro transfer`` sweeps
 target measurement budgets over all ordered device pairs and reports
 transfer accuracy against from-scratch surrogates at equal budget.
 """

@@ -23,22 +23,18 @@ The JSON report is deterministic by construction — every random draw is
 seed-derived, nothing wall-clock enters the payload — so two identical
 invocations produce byte-identical files::
 
-    PYTHONPATH=src python -m repro.transfer.experiments --smoke
+    PYTHONPATH=src python -m repro transfer --smoke
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
 from ..archspace.sampling import RandomSampler
-from ..archspace.spaces import SPACE_NAMES, SpaceSpec, space_by_name
-from ..encodings import encoder_for, list_encodings
+from ..archspace.spaces import SpaceSpec, space_by_name
+from ..encodings import encoder_for
 from ..metrics import kendall_tau, mape
 from ..profiling.paired import measure_paired
 from ..profiling.protocol import MeasurementProtocol
@@ -50,7 +46,6 @@ __all__ = [
     "run_pair",
     "run_experiment",
     "format_report",
-    "main",
 ]
 
 TRANSFER_REPORT_FORMAT_VERSION = 1
@@ -361,77 +356,3 @@ def format_report(report: dict) -> str:
         "target samples"
     )
     return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    from ..hardware import DEVICE_NAMES
-    from ..predictors import list_predictors
-    from ..utils import positive_int
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.transfer.experiments",
-        description=(
-            "Cross-device transfer budget sweep over all ordered device "
-            "pairs."
-        ),
-    )
-    parser.add_argument(
-        "--devices",
-        nargs="+",
-        choices=DEVICE_NAMES,
-        default=list(DEFAULT_DEVICES),
-        help=f"device registry names (default: {' '.join(DEFAULT_DEVICES)})",
-    )
-    parser.add_argument(
-        "--space", choices=SPACE_NAMES, default="resnet"
-    )
-    parser.add_argument(
-        "--encoding", choices=list_encodings(), default="fcc"
-    )
-    parser.add_argument(
-        "--base",
-        choices=[name for name in list_predictors() if name != "transfer"],
-        default="cart",
-        help="zoo member used for both the proxy surrogate and the "
-        "from-scratch baseline (default: cart)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--budgets",
-        nargs="+",
-        type=positive_int,
-        default=None,
-        help="target-device paired-sample budgets (default: per-mode sweep)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced budgets: finishes in seconds",
-    )
-    parser.add_argument(
-        "--out",
-        default="transfer-report.json",
-        help="where to write the JSON report "
-        "(default: ./transfer-report.json)",
-    )
-    args = parser.parse_args(argv)
-
-    report = run_experiment(
-        devices=args.devices,
-        space=args.space,
-        encoding=args.encoding,
-        base=args.base,
-        seed=args.seed,
-        smoke=args.smoke,
-        budgets=args.budgets,
-    )
-    from ..utils import atomic_write_text
-
-    atomic_write_text(Path(args.out), json.dumps(report, sort_keys=True))
-    print(format_report(report))
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())

@@ -187,6 +187,7 @@ class TransferPredictor(PredictorBase):
         from ..predictors import predictor_from_payload
 
         self._proxy_model = predictor_from_payload(state["proxy_model"])
+        self._n_features_in = self._proxy_model.n_features_in_
         if self.proxy_payload is not None:
             self._frozen_proxy = self._proxy_model
         self._map = MonotoneLatencyMap.from_dict(state["map"], "state.map")

@@ -11,6 +11,7 @@ follows the tear policy (`refuse` or `quarantine_with`) the store names.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ __all__ = [
     "ensure_rng",
     "pick",
     "atomic_write_text",
+    "run_dir",
     "quarantine",
     "fingerprint",
     "read_json_object",
@@ -37,7 +39,6 @@ __all__ = [
     "write_manifest",
     "require_degradations",
     "run_pooled",
-    "positive_int",
 ]
 
 
@@ -65,21 +66,12 @@ def pick(rng: np.random.Generator, seq: Sequence):
     return seq[int(rng.integers(len(seq)))]
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts such as ``--workers`` and ``--budgets``.
-
-    A bad value exits with status 2 and a usage error naming the flag,
-    not a traceback from deep inside the run.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        import argparse
-
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def run_dir(root: Union[str, Path, None], *parts: str):
+    """``root/parts`` as a context manager, to keep; without ``root``, a
+    scratch directory that is removed on exit."""
+    if root is None:
+        return tempfile.TemporaryDirectory(prefix="repro-")
+    return contextlib.nullcontext(Path(root).joinpath(*parts))
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:

@@ -144,20 +144,51 @@ def test_load_predictor_imports_only_the_payloads_kind(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cli",
+    "command, loads, skips",
     [
-        "repro.serve",
-        "repro.core.experiments",
-        "repro.nas.experiments",
-        "repro.transfer.experiments",
+        ([], "repro", ["repro.archspace", "repro.core", "repro.nas", "repro.transfer"]),
+        (["serve"], "repro.serve.server", NOT_ON_THE_SERVE_PATH),
+        (["samplers"], "repro.core.experiments", ["repro.nas", "repro.transfer"]),
+        (["nas"], "repro.nas.experiments", ["repro.transfer"]),
+        (["transfer"], "repro.transfer.experiments", ["repro.core", "repro.nas"]),
     ],
+    ids=["help", "serve", "samplers", "nas", "transfer"],
 )
-def test_cli_runs_as_a_module_without_a_runpy_warning(cli):
+def test_each_front_door_command_loads_only_its_own_layer(command, loads, skips):
+    """``python -m repro <command> --help`` imports that command's layer
+    and none of the others'; the server none of the layers it does not
+    serve."""
+    argv = ["repro", *command, "--help"]
+    loaded = set(_loaded_after(
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass"
+    ))
+    assert loads in loaded
+    assert sorted(loaded.intersection(skips)) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repro.serve"],
+        ["repro"],
+        ["repro", "samplers"],
+        ["repro", "nas"],
+        ["repro", "transfer"],
+        ["repro", "serve"],
+    ],
+    ids=" ".join,
+)
+def test_cli_runs_as_a_module_without_a_runpy_warning(argv):
     """``python -m <cli>`` executes one copy of the module: no package
     above it imports it first, so runpy has nothing to warn about (and
     warnings are errors here)."""
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", cli, "--help"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", *argv, "--help"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,

@@ -55,7 +55,6 @@ class TestValidation:
 
     def test_all_none_is_inert(self):
         assert not SearchConstraints().is_active
-        assert SearchConstraints().describe() == "unconstrained"
 
     def test_any_budget_activates(self):
         assert SearchConstraints(max_latency_s=1.0).is_active
@@ -125,13 +124,6 @@ class TestSerialisation:
             json.loads(json.dumps(cons.to_dict()))
         )
         assert rebuilt == cons
-
-    def test_describe_lists_active_budgets(self):
-        cons = SearchConstraints(max_latency_s=0.001, max_flops=2e9)
-        text = cons.describe()
-        assert "latency_s<=0.001" in text
-        assert "flops<=2e+09" in text
-        assert "params" not in text
 
 
 class TestDriverIntegration:

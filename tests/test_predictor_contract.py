@@ -57,6 +57,9 @@ CONTRACT_PREDICTORS = {
     "transfer": {"base": "ridge"},
 }
 
+# Members whose saved state fixes the feature width.
+WIDTH_IN_STATE = ("mlp", "ridge")
+
 # Members whose fit consumes randomness; the rest are exact solvers where
 # "different seed" is *allowed* to coincide.
 STOCHASTIC = ("mlp", "rf")
@@ -189,6 +192,25 @@ class TestPersistence:
         np.testing.assert_array_equal(
             clone.predict(X_new), predictor.predict(X_new)
         )
+
+    def test_loaded_predictor_keeps_the_width_check(self, name, toy, tmp_path):
+        """save -> load -> wrong width: the contract's error, not numpy's.
+
+        Ridge and MLP states fix the width (``x_mean``); `as` and
+        `transfer` take it from their restored inner model.  Trees and the
+        LUT record none, so theirs stays unknown.
+        """
+        X, y = toy
+        make(name).fit(X, y).save(tmp_path / "predictor.json")
+        clone = load_predictor(tmp_path / "predictor.json")
+        inner = {"as": lambda p: p.model.KIND, "transfer": lambda p: p.proxy_kind}
+        if inner.get(name, lambda p: p.KIND)(clone) not in WIDTH_IN_STATE:
+            assert clone.n_features_in_ is None
+            return
+        assert clone.n_features_in_ == X.shape[1]
+        for width in (X.shape[1] + 2, X.shape[1] - 1):
+            with pytest.raises(ValueError, match=f"predict expects {X.shape[1]} features"):
+                clone.predict(np.zeros((3, width)))
 
     def test_load_predictor_dispatches_on_kind(self, name, toy, tmp_path):
         X, y = toy

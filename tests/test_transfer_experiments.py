@@ -3,8 +3,9 @@
 The full smoke report (all 12 pairs, the committed budgets) is locked by
 ``test_transfer_golden.py``; this file exercises the module's edges on
 two-device workloads that finish in well under a second: argument
-validation, the nested-budget table shape, the printed table, and the
-``main`` entry point writing byte-deterministic JSON.
+validation, the nested-budget table shape, the printed table, and
+``python -m repro transfer`` writing byte-deterministic JSON.  Its bad
+arguments are checked with every command's in ``test_cli.py``.
 """
 
 import json
@@ -12,11 +13,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.transfer.experiments import (
     DEFAULT_DEVICES,
     _settings,
     format_report,
-    main,
     run_experiment,
 )
 
@@ -96,6 +97,7 @@ class TestFormatReport:
 class TestMain:
     def test_writes_deterministic_report(self, tmp_path, capsys):
         args = [
+            "transfer",
             "--devices",
             *TINY["devices"],
             "--budgets",
@@ -113,23 +115,3 @@ class TestMain:
         printed = capsys.readouterr().out
         assert "half-budget wins" in printed
         assert str(out_a) in printed
-
-
-class TestArguments:
-    """Bad arguments exit 2 with a usage error naming the flag."""
-
-    @pytest.mark.parametrize(
-        "args, flag",
-        [
-            (["--budgets", "-3"], "--budgets"),
-            (["--budgets", "5", "0"], "--budgets"),
-            (["--base", "nope"], "--base"),
-            (["--base", "transfer"], "--base"),
-            (["--devices", "rtx4090", "nope"], "--devices"),
-        ],
-    )
-    def test_bad_argument_is_a_usage_error(self, args, flag, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--smoke", *args])
-        assert excinfo.value.code == 2
-        assert f"argument {flag}: " in capsys.readouterr().err

@@ -9,13 +9,12 @@ never recompute a key the pool already committed, and record what
 happened.
 """
 
-import argparse
 import multiprocessing
 import os
 
 import pytest
 
-from repro.utils import positive_int, run_pooled
+from repro.utils import run_pooled
 
 KEYS = [0, 1, 2, 3, 4, 5]
 _PARENT_PID = os.getpid()
@@ -142,14 +141,3 @@ class TestPoolPath:
         assert record["completed_before_failure"] == len(KEYS) - len(rec.local)
         assert sorted(k for k, _ in rec.commits) == KEYS
         assert rec.committed() == {k: k * k for k in KEYS}
-
-
-class TestPositiveInt:
-    @pytest.mark.parametrize("text", ["0", "-3", "two", "2.5"])
-    def test_rejects_what_is_not_a_positive_count(self, text):
-        with pytest.raises(argparse.ArgumentTypeError, match=repr(text)):
-            positive_int(text)
-
-    def test_accepts_a_positive_count(self):
-        assert positive_int("3") == 3
-        assert positive_int(" 12 ") == 12
